@@ -5,8 +5,7 @@ behaviour on the disc and half-plane."""
 from .errors import (AlexnormError, DegenerateWeight, HypothesisViolated,
                      InvalidSpec, KernelSingularity, NonConvergentTail,
                      NonIntegrableProduct, NotAbsolutelyIntegrable,
-                     ScenarioFailure, SpecParseError, TailBoundFailure,
-                     ToleranceNotMet)
+                     SpecParseError, TailBoundFailure, ToleranceNotMet)
 from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     alexiewicz_norm_halfline, gap_sweep, hk_not_l1_witness,
                     one_norm, osc_lower_bound_check, primitive_gap_l1,
@@ -20,8 +19,8 @@ from .poisson import (HalfPlaneOperator, HalfPlanePoint, KernelPair,
                       poisson_halfplane)
 from .realfn import (ClosedFormPrimitive, Integrand, Interval, Partition,
                      PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
-                     Primitive, build_primitive_from_pointwise, eval_primitive,
-                     integral, oscillation, variation)
+                     Primitive, build_primitive_from_pointwise, integral,
+                     oscillation, variation)
 from .registry import (describe, function_from_spec, get_function, get_weight,
                        indicator, registry_list, step_weight, weight_from_spec)
 from .weights import (MeasureEstimate, RatioFunction, Weight,

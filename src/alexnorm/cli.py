@@ -4,8 +4,8 @@ A manifest is one JSON file listing scenarios; each scenario names a harness
 kind, its function/weight specs (builtin names or inline tables), a parameter
 ladder and thresholds, and the CSV file it writes.  Two runs of the same
 manifest produce byte-identical output: floats are serialized with 17
-significant digits and the only randomness (isometry pair draws, optional grid
-jitter) is seeded from the manifest.
+significant digits and the only randomness (isometry pair draws) is seeded
+from the manifest.
 """
 
 from __future__ import annotations
@@ -185,14 +185,6 @@ def load_manifest(path) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _ladder(sc: Scenario) -> list:
-    xs = list(sc.ladder)
-    if sc.params.get("jitter"):
-        rng = np.random.default_rng(sc.params.get("_seed", 0))
-        xs = [x * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0)) for x in xs]
-    return xs
-
-
 def _run_norm(sc: Scenario, seed: int) -> ScenarioResult:
     f = _parse_function(sc.function_spec, sc.name)
     val = alexiewicz_norm(f)
@@ -231,7 +223,7 @@ def _run_norm(sc: Scenario, seed: int) -> ScenarioResult:
 
 def _run_gap_sweep(sc: Scenario, seed: int) -> ScenarioResult:
     f = _parse_function(sc.function_spec, sc.name)
-    reports = gap_sweep(f, _ladder(sc), sc.tol)
+    reports = gap_sweep(f, sc.ladder, sc.tol)
     ok = all(r.passed for r in reports)
     headline = {"final_gap": reports[-1].gap}
     if sc.final_gap is not None:
@@ -265,7 +257,7 @@ def _run_decay(sc: Scenario, seed: int) -> ScenarioResult:
     n_max = int(sc.params.get("n_max", 256))
     spec = DecaySpec(psi, n_max)
     f = slow_decay_construct(spec)
-    xs = _ladder(sc) or [1.0 / n for n in range(2, n_max + 1)]
+    xs = sc.ladder or [1.0 / n for n in range(2, n_max + 1)]
     reports = verify_slow_decay(f, spec, xs, sc.tol)
     ok = all(r.passed for r in reports)
     return ScenarioResult(sc.name, sc.kind, passed=ok,
@@ -278,7 +270,7 @@ def _run_osc_bound(sc: Scenario, seed: int) -> ScenarioResult:
     bump = SmoothBump(center=float(sc.params.get("center", 0.0)),
                       halfwidth=float(sc.params.get("halfwidth", 1.0)),
                       amplitude=float(sc.params.get("amplitude", 1.0)))
-    reports = osc_lower_bound_check(bump, _ladder(sc), sc.tol)
+    reports = osc_lower_bound_check(bump, sc.ladder, sc.tol)
     ok = all(r.passed for r in reports)
     return ScenarioResult(sc.name, sc.kind, passed=ok,
                           headline={"osc": bump.osc(),
@@ -299,7 +291,7 @@ def _run_primitive_gap(sc: Scenario, seed: int) -> ScenarioResult:
             l1_bound = None
     rows = []
     ok = True
-    for x in sorted(_ladder(sc), key=lambda t: (-abs(t), t)):
+    for x in sorted(sc.ladder, key=lambda t: (-abs(t), t)):
         g = primitive_gap_norm(f, x)
         bound = norm * abs(x)
         row_ok = g <= bound + sc.tol
@@ -348,7 +340,7 @@ def _run_weight_audit(sc: Scenario, seed: int) -> ScenarioResult:
     w = _parse_weight(sc.weight_spec, sc.name)
     I = tuple(sc.params.get("interval", (-10.0, 10.0)))
     eps = float(sc.params.get("eps", 0.1))
-    xs = _ladder(sc)
+    xs = sc.ladder
     rc = ratio_conditions_check(w, xs, [I], eps)
     scc = sufficient_conditions_check(w, I)
     rows = [
@@ -388,7 +380,7 @@ def _run_weight_audit(sc: Scenario, seed: int) -> ScenarioResult:
 def _run_weighted_sweep(sc: Scenario, seed: int) -> ScenarioResult:
     f = _parse_function(sc.function_spec, sc.name, allow_bare=True)
     w = _parse_weight(sc.weight_spec, sc.name)
-    reports = weighted_gap_sweep(f, w, _ladder(sc), sc.tol)
+    reports = weighted_gap_sweep(f, w, sc.ladder, sc.tol)
     ok = all(r.passed for r in reports)
     headline = {"final_gap": reports[-1].gap}
     if sc.final_gap is not None:
@@ -438,7 +430,7 @@ def _run_lemma_check(sc: Scenario, seed: int) -> ScenarioResult:
 
 def _run_poisson_disc(sc: Scenario, seed: int) -> ScenarioResult:
     f = PeriodicIntegrand(_parse_function(sc.function_spec, sc.name))
-    rs = _ladder(sc)
+    rs = sc.ladder
     reports = disc_boundary_convergence(f, rs)
     gaps = [r.gap for r in reports]
     ok = all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
@@ -473,7 +465,7 @@ def _run_poisson_halfplane(sc: Scenario, seed: int) -> ScenarioResult:
     f = _parse_function(sc.function_spec, sc.name, allow_bare=True)
     w = _parse_weight(sc.weight_spec, sc.name)
     I = tuple(sc.params.get("interval", (-8.0, 8.0)))
-    reports = halfplane_weighted_convergence(f, w, _ladder(sc), I, tol=sc.tol)
+    reports = halfplane_weighted_convergence(f, w, sc.ladder, I, tol=sc.tol)
     gaps = [r.gap for r in reports]
     ok = all(r.passed for r in reports)
     ok = ok and all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
@@ -532,8 +524,8 @@ def run(manifest: RunManifest, out_dir=None, jobs: int = 1,
     out.mkdir(parents=True, exist_ok=True)
 
     def execute(sc: Scenario) -> ScenarioResult:
-        sc = replace(sc, tol=tol_override if tol_override is not None else sc.tol,
-                     params={**sc.params, "_seed": manifest.seed})
+        if tol_override is not None:
+            sc = replace(sc, tol=tol_override)
         try:
             return _EXECUTORS[sc.kind](sc, manifest.seed)
         except SpecParseError:

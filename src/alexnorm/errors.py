@@ -43,7 +43,3 @@ class HypothesisViolated(AlexnormError):
 
 class SpecParseError(AlexnormError):
     """Malformed scenario or manifest input; message names the offending field."""
-
-
-class ScenarioFailure(AlexnormError):
-    """A scenario raised a domain error while executing."""

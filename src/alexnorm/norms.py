@@ -148,11 +148,11 @@ class DecaySpec:
 
     psi1 is the running supremum, psi2 its step discretization on the 1/n
     mesh, psi3 the continuous piecewise-linear envelope whose derivative is
-    the constructed integrand.  The mesh is truncated at 1/n_max.
+    the constructed integrand.  The mesh is truncated at 1/n_max, and psi is
+    sampled at eight points per mesh cell.
     """
 
-    def __init__(self, psi: Callable[[np.ndarray], np.ndarray], n_max: int,
-                 samples_per_cell: int = 8):
+    def __init__(self, psi: Callable[[np.ndarray], np.ndarray], n_max: int):
         if n_max < 2:
             raise InvalidSpec("n_max must be at least 2")
         self.psi = psi
@@ -162,7 +162,7 @@ class DecaySpec:
         for n in range(1, n_max + 1):
             left = 1.0 / (n + 1)
             right = 1.0 / n
-            samples.append(np.linspace(left, right, samples_per_cell + 1)[1:])
+            samples.append(np.linspace(left, right, 9)[1:])
         pts = np.unique(np.concatenate(samples))  # ascending
         vals = _call_vec(psi, pts)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
@@ -313,10 +313,10 @@ class SmoothBump:
         return Integrand(P, self.value, "bump")
 
 
-def osc_lower_bound_check(f: SmoothBump, xs: Sequence[float], tol: float = 1e-9,
-                          build_tol: float = 1e-12) -> List[GapReport]:
+def osc_lower_bound_check(f: SmoothBump, xs: Sequence[float],
+                          tol: float = 1e-9) -> List[GapReport]:
     """gap(x) against osc(f)|x| -+ 2 ||f'||_inf x^2 (lower bound clamped at 0)."""
-    g = f.to_integrand(build_tol)
+    g = f.to_integrand()
     osc = f.osc()
     dsup = f.derivative_sup()
     reports = []

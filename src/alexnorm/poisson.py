@@ -112,8 +112,10 @@ def disc_kernel_mass(r: float, a: float, b: float) -> float:
 
 
 def poisson_disc(f: PeriodicIntegrand, r: float, theta: float,
-                 tol: float = 1e-10, max_nodes: int = 2 ** 19) -> float:
-    """Harmonic extension of periodic boundary data, evaluated at r e^{i theta}."""
+                 tol: float = 1e-10) -> float:
+    """Harmonic extension of periodic boundary data, evaluated at r e^{i theta}.
+
+    Smooth data takes the periodic midpoint rule from 64 up to 2^19 nodes."""
     if r < 0:
         raise ValueError("the radius must be nonnegative")
     if r >= 1.0:
@@ -129,7 +131,7 @@ def poisson_disc(f: PeriodicIntegrand, r: float, theta: float,
     # periodic midpoint rule with node doubling; spectrally accurate
     prev = None
     N = 64
-    while N <= max_nodes:
+    while N <= 2 ** 19:
         phis = -math.pi + (np.arange(N) + 0.5) * (TWO_PI / N)
         u = float((TWO_PI / N) * np.dot(f.pointwise(phis), disc_kernel(r, phis - theta)))
         if prev is not None and abs(u - prev) <= tol * max(1.0, abs(u)):
@@ -139,16 +141,18 @@ def poisson_disc(f: PeriodicIntegrand, r: float, theta: float,
     raise ToleranceNotMet(f"periodic rule did not converge below {tol}")
 
 
-def disc_boundary_convergence(f: PeriodicIntegrand, rs: Sequence[float],
-                              build_tol: float = 1e-8) -> List[GapReport]:
-    """||u_r - f|| over one period along a radius ladder."""
+def disc_boundary_convergence(f: PeriodicIntegrand,
+                              rs: Sequence[float]) -> List[GapReport]:
+    """||u_r - f|| over one period along a radius ladder; the error primitives
+    are built to 1e-8 from u_r evaluated to 1e-10."""
+    build_tol = 1e-8
     bp = f.base.primitive.breakpoints()
     hints = () if bp is None else tuple(bp)
     reports = []
     for r in rs:
         def err(phi, r=r):
             phi = np.asarray(phi, dtype=float)
-            u = np.asarray([poisson_disc(f, r, t, tol=build_tol * 1e-2) for t in np.ravel(phi)])
+            u = np.asarray([poisson_disc(f, r, t) for t in np.ravel(phi)])
             return u.reshape(phi.shape) - f.pointwise(phi)
 
         P = build_primitive_from_pointwise(err, Interval(-math.pi, math.pi),
@@ -215,9 +219,8 @@ def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
         wv = w(t)
         return (Phi_prime(t) * wv - Phi(t) * w.derivative(t)) / (wv * wv)
 
-    limit_fn = getattr(w, "kernel_ratio_limit", None)
-    if limit_fn is not None:
-        lim_neg, lim_pos = limit_fn(z)
+    if w.kernel_ratio_limit is not None:
+        lim_neg, lim_pos = w.kernel_ratio_limit(z)
     else:
         lim_neg = _psi_limit(Psi, -1.0)
         lim_pos = _psi_limit(Psi, +1.0)
@@ -241,15 +244,14 @@ def _psi_limit(Psi, direction: float) -> float:
 class HalfPlaneOperator:
     """Evaluates the weighted-parts form of the half-plane Poisson integral.
 
-    The product primitive G is built once per (f, w) pair and reused across
-    evaluation points.
+    The product primitive G is built once per (f, w) pair, to 1e-10 on a core
+    window of half-width 4096, and reused across evaluation points.
     """
 
-    def __init__(self, f, w: Weight, *, build_tol: float = 1e-10,
-                 core_halfwidth: float = 4096.0):
+    def __init__(self, f, w: Weight):
         self.f = f
         self.w = w
-        self.fw = product_integrand(f, w, tol=build_tol, core_halfwidth=core_halfwidth)
+        self.fw = product_integrand(f, w, tol=1e-10, core_halfwidth=4096.0)
         self.G = self.fw.primitive
         self.G_inf = self.G.limit_pos
 
@@ -316,11 +318,13 @@ def poisson_halfplane(f, w: Weight, z: HalfPlanePoint, tol: float = 1e-6) -> flo
 
 
 def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
-                                   tol: float = 1e-6, build_tol: float = 1e-7,
-                                   point_tol: float = 1e-6,
-                                   s_nodes: int = 64) -> List[GapReport]:
+                                   tol: float = 1e-6) -> List[GapReport]:
     """||(u_y - f) w|| on I along a boundary ladder, with the kernel-averaged
-    majorant integral of Phi_y(s) ||(tau_s f - f) w|| attached to each row."""
+    majorant integral of Phi_y(s) ||(tau_s f - f) w|| attached to each row.
+
+    Primitives are built to 1e-7, each u_y(t) is evaluated to 1e-6, and the
+    majorant integral takes 64 Gauss-Legendre nodes in s."""
+    build_tol = 1e-7
     I = _as_interval(I)
     op = HalfPlaneOperator(f, w)
     fp = _resolve_pointwise(f)
@@ -332,14 +336,14 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
     def gamma(s: float) -> float:
         if s == 0.0:
             return 0.0
-        gap, _ = _weighted_gap_single(f, fp, w, op.G, s, build_tol, 64.0)
+        gap, _ = _weighted_gap_single(f, fp, w, op.G, s, build_tol)
         return gap
 
     reports = []
     for y in sorted(ys, key=lambda t: -abs(t)):
         def err(t, y=y):
             t = np.asarray(t, dtype=float)
-            u = np.asarray([op.value(HalfPlanePoint(float(ti), y), tol=point_tol)
+            u = np.asarray([op.value(HalfPlanePoint(float(ti), y), tol=1e-6)
                             for ti in np.ravel(t)])
             return (u.reshape(t.shape) - _call_vec(fp, t)) * w(t)
 
@@ -348,7 +352,7 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
         gap = hi - lo
 
         S = max(200.0 * y, 2.0)
-        nodes, wts = gauss_nodes(s_nodes)
+        nodes, wts = gauss_nodes(64)
         ss = 0.5 * S * (nodes + 1.0)  # positive half; gamma is even in s
         gs = np.asarray([gamma(float(s)) for s in ss])
         phis = halfplane_kernel(y, ss)

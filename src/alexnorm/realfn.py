@@ -42,13 +42,6 @@ POS_INF = float("inf")
 _EPS = float(np.finfo(float).eps)
 
 
-def is_finite_real(x: float) -> bool:
-    """True for a finite real; False for the two infinities. NaN is rejected."""
-    if isinstance(x, float) and math.isnan(x):
-        raise ValueError("NaN is not an extended real")
-    return math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [a, b] of the extended real line, a <= b."""
@@ -69,9 +62,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-    def clipped(self, lo: float, hi: float) -> "Interval":
-        return Interval(max(self.a, lo), min(self.b, hi))
 
     def shifted(self, dx: float) -> "Interval":
         return Interval(self.a + dx, self.b + dx)
@@ -583,9 +573,6 @@ class Integrand:
             return NotImplemented
         return self.primitive.equals(other.primitive)
 
-    def __hash__(self):
-        return id(self.primitive.__class__).__hash__()
-
     def __repr__(self):
         return f"Integrand({self.label or self.primitive.__class__.__name__})"
 
@@ -595,16 +582,11 @@ class Integrand:
 # ---------------------------------------------------------------------------
 
 
-def eval_primitive(F: Primitive, x: float) -> float:
-    """F(x) on the extended real line; limits are returned at +-inf."""
-    return float(F.eval(x))
-
-
 def integral(f: Integrand, I) -> float:
     """The integral of f over I, computed as F(b) - F(a)."""
     I = _as_interval(I)
     F = f.primitive
-    return eval_primitive(F, I.b) - eval_primitive(F, I.a)
+    return float(F.eval(I.b)) - float(F.eval(I.a))
 
 
 def _resolve_samplable(h, I: Interval):
@@ -668,9 +650,9 @@ def oscillation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> f
 
 
 def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[float] = (),
-                 include: Sequence[float] = (), refine: bool = True,
-                 refine_count: int = 3) -> tuple:
-    """(min, max) of a callable on a window: dense grid plus local refinement.
+                 include: Sequence[float] = (), refine: bool = True) -> tuple:
+    """(min, max) of a callable on a window: dense grid plus local refinement
+    of the three largest and the three smallest grid values.
 
     ``include`` values (e.g. limits at infinity) join the candidate set as-is.
     Being a sampled supremum the result never overshoots the true extrema.
@@ -686,7 +668,7 @@ def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[flo
     if refine and len(pts) > 2:
         for sign in (1.0, -1.0):
             v = vals if sign > 0 else -vals
-            order = np.argsort(v)[::-1][:refine_count]
+            order = np.argsort(v)[::-1][:3]
             for i in order:
                 l = pts[max(i - 1, 0)]
                 r = pts[min(i + 1, len(pts) - 1)]
@@ -724,7 +706,8 @@ def _cheb_integral(coefs: np.ndarray) -> float:
     return float(np.dot(coefs[j], 2.0 / (1.0 - j * j)))
 
 
-def _fit_panel(f_eval, a: float, b: float, npts: int):
+def _fit_panel(f_eval, a: float, b: float):
+    npts = 17  # degree-16 Chebyshev fits
     nodes, M = _cheb_fit_matrix(npts)
     hw = 0.5 * (b - a)
     xs = 0.5 * (a + b) + hw * nodes
@@ -741,7 +724,6 @@ def build_primitive_from_pointwise(
     support,
     tol: float,
     *,
-    degree: int = 16,
     breakpoints: Sequence[float] = (),
     core_halfwidth: float = 64.0,
     tail_mode: str = "extrapolate",
@@ -757,8 +739,9 @@ def build_primitive_from_pointwise(
     doubling windows (geometric extrapolation); ``tail_mode='accelerate'``
     additionally applies an alternating-series transform for oscillatory
     decaying tails, and ``tail_values=(left, right)`` declares the masses
-    outright.  Raises NonConvergentTail when the tail cannot be stabilized
-    and ToleranceNotMet when the panel budget is exhausted.
+    outright.  Raises NonConvergentTail when the tail cannot be stabilized,
+    and ToleranceNotMet when the panel budget is exhausted or the error
+    estimate is not finite (NaN or infinite data).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -769,7 +752,6 @@ def build_primitive_from_pointwise(
     b = sup.b if not right_inf else core_halfwidth
     if b <= a:
         b = a + 2.0 * core_halfwidth
-    npts = degree + 1
 
     hints = sorted({float(t) for t in breakpoints if a < t < b})
     edges0 = [a] + hints + [b]
@@ -779,7 +761,7 @@ def build_primitive_from_pointwise(
     seq = 0
     total_err = 0.0
     for i in range(len(edges0) - 1):
-        c, Iv, e = _fit_panel(f_eval, edges0[i], edges0[i + 1], npts)
+        c, Iv, e = _fit_panel(f_eval, edges0[i], edges0[i + 1])
         heapq.heappush(heap, (-e, seq, edges0[i], edges0[i + 1], c, Iv))
         seq += 1
         total_err += e
@@ -797,10 +779,13 @@ def build_primitive_from_pointwise(
         total_err -= e
         mid = 0.5 * (pa + pb)
         for qa, qb in ((pa, mid), (mid, pb)):
-            c2, I2, e2 = _fit_panel(f_eval, qa, qb, npts)
+            c2, I2, e2 = _fit_panel(f_eval, qa, qb)
             heapq.heappush(heap, (-e2, seq, qa, qb, c2, I2))
             seq += 1
             total_err += e2
+    if not math.isfinite(total_err):
+        # a NaN estimate compares False against tol and would end the loop
+        raise ToleranceNotMet(f"error estimate is not finite ({total_err})")
     if total_err > tol:
         frozen = sum(e for *_, e in done)
         if frozen < total_err - tol:

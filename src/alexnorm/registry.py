@@ -117,10 +117,10 @@ def _build_reciprocal_quadratic() -> Weight:
         y = np.asarray(y, dtype=float)
         return -2.0 * y / (y * y + 1.0) ** 2
 
-    out = Weight.closed_form(w, dw, label="reciprocal_quadratic")
     # Phi_y(x-t)/w(t) -> y/pi at both infinities for this weight
-    out.kernel_ratio_limit = lambda z: (z.y / math.pi, z.y / math.pi)
-    return out
+    return Weight.closed_form(w, dw,
+                              kernel_ratio_limit=lambda z: (z.y / math.pi, z.y / math.pi),
+                              label="reciprocal_quadratic")
 
 
 def _build_exponential() -> Weight:

@@ -25,7 +25,7 @@ from .errors import (DegenerateWeight, HypothesisViolated, NonConvergentTail,
                      NonIntegrableProduct, ToleranceNotMet)
 from .norms import GapReport, _difference_extrema, alexiewicz_norm, gap_sweep
 from .realfn import (Integrand, Interval, _as_interval, _call_vec,
-                     build_primitive_from_pointwise, variation)
+                     build_primitive_from_pointwise, grid_extrema, variation)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -35,15 +35,18 @@ class Weight:
 
     Table weights are piecewise constant and normalized to right continuity on
     ingestion.  Caches are write-once: computed on first request, then reused.
+    ``kernel_ratio_limit(z)``, when given, returns the limits at -inf and +inf
+    of Phi_z(t)/w(t) (the half-plane kernel over the weight) in closed form.
     """
 
     def __init__(self, func: Evaluator, *, derivative: Optional[Evaluator] = None,
                  table: Optional[tuple] = None, constant: Optional[float] = None,
-                 label: str = ""):
+                 kernel_ratio_limit: Optional[Callable] = None, label: str = ""):
         self._func = func
         self._derivative = derivative
         self._table = table
         self.constant_value = constant
+        self.kernel_ratio_limit = kernel_ratio_limit
         self.label = label
         self._bounds_cache: Dict = {}
         self._var_cache: Dict = {}
@@ -52,8 +55,10 @@ class Weight:
 
     @classmethod
     def closed_form(cls, func: Evaluator, derivative: Optional[Evaluator] = None,
+                    kernel_ratio_limit: Optional[Callable] = None,
                     label: str = "") -> "Weight":
-        return cls(func, derivative=derivative, label=label)
+        return cls(func, derivative=derivative,
+                   kernel_ratio_limit=kernel_ratio_limit, label=label)
 
     @classmethod
     def piecewise_constant(cls, breakpoints, values, label: str = "") -> "Weight":
@@ -216,10 +221,11 @@ class RatioConditionsReport:
 
 
 def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
-                           eps: float, grid: int = 4096, levels: int = 12,
-                           pass_fraction: float = 0.05) -> RatioConditionsReport:
+                           eps: float, grid: int = 4096,
+                           levels: int = 12) -> RatioConditionsReport:
     """Evidence-grade verdicts on the three ratio conditions: uniform bound,
-    uniform variation, and convergence to 1 in measure on each interval."""
+    uniform variation, and convergence to 1 in measure on each interval
+    (the fraction of cells off by more than eps falls to at most 0.05)."""
     if not len(xs):
         raise ValueError("xs must be nonempty")
     intervals = [_as_interval(I) for I in I_list]
@@ -255,7 +261,7 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
         fr = [e.fraction for e in ests]
         slack = 1.5 / grid + 1e-12
         nonincreasing = all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
-        measure_ok = measure_ok and nonincreasing and fr[-1] <= pass_fraction
+        measure_ok = measure_ok and nonincreasing and fr[-1] <= 0.05
         measures.extend(ests)
 
     passed = (math.isfinite(uniform_bound) and bound_stable and
@@ -278,12 +284,10 @@ class SufficientConditionsReport:
     passed: bool
 
 
-def sufficient_conditions_check(w: Weight, I, grid: int = 4096, levels: int = 12,
-                                eps: float = 0.05,
-                                x_ladder: Optional[Sequence[float]] = None
-                                ) -> SufficientConditionsReport:
+def sufficient_conditions_check(w: Weight, I, grid: int = 4096,
+                                levels: int = 12) -> SufficientConditionsReport:
     """Positive bounds, local bounded variation, and continuity in measure of
-    the weight itself on a compact interval."""
+    the weight itself on a compact interval (shifts 2^-1 ... 2^-9, eps 0.05)."""
     I = _as_interval(I)
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -294,10 +298,9 @@ def sufficient_conditions_check(w: Weight, I, grid: int = 4096, levels: int = 12
     bv2 = w.variation_on(I, levels + 1)
     bv_stable = abs(bv2 - bv) <= max(1e-6, 5e-3 * (1.0 + bv2))
 
-    if x_ladder is None:
-        x_ladder = [2.0 ** -k for k in range(1, 10)]
+    x_ladder = [2.0 ** -k for k in range(1, 10)]
     family = {x: (lambda y, x=x: w(np.asarray(y, dtype=float) + x)) for x in x_ladder}
-    ests = convergence_in_measure(family, lambda y: w(y), I, eps, grid)
+    ests = convergence_in_measure(family, lambda y: w(y), I, 0.05, grid)
     fr = [e.fraction for e in ests]
     slack = 1.5 / grid + 1e-12
     measure_ok = (all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
@@ -371,11 +374,22 @@ def product_integrand(f, w: Weight, *, tol: float = 1e-10,
     fp = _resolve_pointwise(f)
     if fp is None:
         raise NonIntegrableProduct("no pointwise data for the product")
+    prod = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * w(y)
+    P = _weighted_primitive(prod, f, w, tol, core_halfwidth, label=label or "product")
+    return Integrand(P, prod, label or "product")
 
+
+def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
+                        core_halfwidth: float, *, x: float = 0.0, label: str = ""):
+    """Primitive of h, pointwise data of f times values of w and its shift
+    by x.  The jumps of w and of w(. + x), and the table nodes of f, are
+    panel hints; a table f confines the support, and a closed-form f widens
+    the core window to its own."""
     hints = []
     wb = w.breakpoints()
     if wb is not None:
         hints.extend(wb)
+        hints.extend(wb - x)
     support = Interval(-math.inf, math.inf)
     core = core_halfwidth
     if isinstance(f, Integrand):
@@ -386,76 +400,50 @@ def product_integrand(f, w: Weight, *, tol: float = 1e-10,
             support = Interval(lo, hi)  # f vanishes outside its table
         else:
             core = max(core_halfwidth, abs(lo), abs(hi))
-
-    prod = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * w(y)
     try:
-        P = build_primitive_from_pointwise(prod, support, tol, breakpoints=hints,
-                                           core_halfwidth=core,
-                                           label=label or "product")
+        return build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
+                                              core_halfwidth=core, label=label)
     except (NonConvergentTail, ToleranceNotMet) as exc:
         raise NonIntegrableProduct(str(exc)) from exc
-    return Integrand(P, prod, label or "product")
 
 
-def weighted_norm(f, w: Weight, *, tol: float = 1e-10,
-                  core_halfwidth: float = 64.0) -> float:
+def weighted_norm(f, w: Weight) -> float:
     """Alexiewicz norm of the product fw."""
-    return alexiewicz_norm(product_integrand(f, w, tol=tol,
-                                             core_halfwidth=core_halfwidth))
+    return alexiewicz_norm(product_integrand(f, w))
 
 
-def weighted_gap_sweep(f, w: Weight, xs: Sequence[float], tol: float = 1e-9,
-                       build_tol: float = 1e-10,
-                       core_halfwidth: float = 64.0) -> List[GapReport]:
+def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
+                       tol: float = 1e-9) -> List[GapReport]:
     """||(tau_x f - f) w|| along a shift ladder.
 
     Computed through the decomposition into the uniform-continuity term of the
     product primitive G and the ratio correction: the norm is the oscillation
     of D(t) = G(t-x) - G(t) + C_x(t-x), where C_x is the primitive of
-    f(y) w(y) (g_x(y) - 1) = f(y) (w(y+x) - w(y)).
+    f(y) w(y) (g_x(y) - 1) = f(y) (w(y+x) - w(y)).  G and C_x are built to
+    1e-10.
     """
     if not len(xs):
         raise ValueError("xs must be nonempty")
     if w.is_constant_one and isinstance(f, Integrand):
         return gap_sweep(f, xs, tol)
 
-    fw = product_integrand(f, w, tol=build_tol, core_halfwidth=core_halfwidth)
-    G = fw.primitive
+    build_tol = 1e-10
+    G = product_integrand(f, w, tol=build_tol).primitive
     fp = _resolve_pointwise(f)
     reports = []
     for x in sorted(xs, key=lambda t: (-abs(t), t)):
-        gap, bound = _weighted_gap_single(f, fp, w, G, x, build_tol, core_halfwidth)
+        gap, bound = _weighted_gap_single(f, fp, w, G, x, build_tol)
         reports.append(GapReport(x=x, gap=gap, bound_upper=bound,
                                  passed=gap <= bound + tol))
     return reports
 
 
-def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float,
-                         core_halfwidth: float) -> tuple:
+def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tuple:
     if x == 0.0:
         return 0.0, 0.0
     corr = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * (
         w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float)))
-    hints = []
-    wb = w.breakpoints()
-    if wb is not None:
-        hints.extend(wb)
-        hints.extend(wb - x)
-    support = Interval(-math.inf, math.inf)
-    core = core_halfwidth
-    if isinstance(f, Integrand):
-        bp = f.primitive.breakpoints()
-        lo, hi = f.primitive.support_window()
-        if bp is not None:
-            hints.extend(bp)
-            support = Interval(lo, hi)
-        else:
-            core = max(core_halfwidth, abs(lo), abs(hi))
-    try:
-        C = build_primitive_from_pointwise(corr, support, build_tol,
-                                           breakpoints=hints, core_halfwidth=core)
-    except (NonConvergentTail, ToleranceNotMet) as exc:
-        raise NonIntegrableProduct(str(exc)) from exc
+    C = _weighted_primitive(corr, f, w, build_tol, 64.0, x=x)
 
     def D(t):
         t = np.asarray(t, dtype=float)
@@ -471,8 +459,6 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float,
         if bp is not None:
             seeds.extend(bp)
             seeds.extend(bp + x)
-    from .realfn import grid_extrema  # local import to keep module top lean
-
     mn, mx = grid_extrema(D, (lo, hi), levels=15, seeds=seeds,
                           include=(0.0, C.limit_pos))
     gap = mx - mn

@@ -16,13 +16,13 @@ published reference values, which that ground truth contradicts (README.md,
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
-from alexnorm.cli import parse_manifest, run
+from alexnorm.cli import load_manifest, run
 from alexnorm.errors import HypothesisViolated
-from alexnorm.manifests import canonical_manifest
 from alexnorm.norms import (DecaySpec, SmoothBump, alexiewicz_norm, gap_sweep,
                             hk_not_l1_witness, one_norm, primitive_gap_l1,
                             primitive_gap_norm, slow_decay_construct,
@@ -277,10 +277,11 @@ def test_c10b_halfplane_final_gap_threshold():
 
 
 def test_c11_full_manifest_runtime_and_determinism(tmp_path):
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "canonical.json"
     t0 = time.perf_counter()
-    report1 = run(parse_manifest(canonical_manifest()), out_dir=tmp_path / "a")
+    report1 = run(load_manifest(manifest), out_dir=tmp_path / "a")
     elapsed = time.perf_counter() - t0
-    run(parse_manifest(canonical_manifest()), out_dir=tmp_path / "b")
+    run(load_manifest(manifest), out_dir=tmp_path / "b")
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
     ok = files_a == files_b and len(files_a) == 19  # 18 scenario CSVs + summary

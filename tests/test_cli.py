@@ -197,9 +197,19 @@ def test_run_domain_error_is_scenario_error(tmp_path):
 # -- command line ------------------------------------------------------------
 
 
+def _child_env(**extra):
+    """This process's environment plus extra, with the directory of the
+    imported package first on PYTHONPATH, so a child runs installed or not."""
+    src_dir = str(Path(alexnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "alexnorm", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
 
 
 def test_cli_help():
@@ -224,15 +234,11 @@ def test_cli_describe():
 
 def test_cli_run_and_env_out(tmp_path):
     # no --out: the run must write to $ALEXNORM_OUT, not to the working
-    # directory.  The child inherits the environment, with the directory of the
-    # imported package put first on PYTHONPATH so it runs installed or not.
+    # directory
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(MINI))
     env_dir = tmp_path / "envout"
-    src_dir = str(Path(alexnorm.__file__).resolve().parents[1])
-    env = dict(os.environ, ALEXNORM_OUT=str(env_dir))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    env = _child_env(ALEXNORM_OUT=str(env_dir))
     cp = subprocess.run(
         [sys.executable, "-m", "alexnorm", "run", str(mpath)],
         capture_output=True, text=True, env=env, cwd=tmp_path)
@@ -257,9 +263,3 @@ def test_cli_run_invalid_json(tmp_path):
     cp = run_cli("run", str(mpath))
     assert cp.returncode == 2
     assert "invalid JSON" in cp.stderr
-
-
-def test_canonical_manifest_file_matches_builder():
-    from alexnorm.manifests import canonical_manifest
-    path = Path(__file__).resolve().parents[1] / "manifests" / "canonical.json"
-    assert json.loads(path.read_text()) == canonical_manifest()

@@ -7,8 +7,8 @@ from scipy.special import sici
 
 from alexnorm.errors import NonConvergentTail, ToleranceNotMet
 from alexnorm.realfn import (Interval, Partition, PiecewiseLinearPrimitive,
-                             build_primitive_from_pointwise, eval_primitive,
-                             integral, oscillation, variation)
+                             build_primitive_from_pointwise, integral,
+                             oscillation, variation)
 from alexnorm.registry import get_function, indicator
 
 INF = float("inf")
@@ -50,11 +50,11 @@ def test_partition_validation():
 # -- primitives -------------------------------------------------------------
 
 
-def test_eval_primitive_indicator():
+def test_primitive_eval_indicator():
     F = get_function("indicator_01").primitive
-    assert eval_primitive(F, 0.5) == 0.5
-    assert eval_primitive(F, INF) == 1.0
-    assert eval_primitive(F, -INF) == F.limit_neg == 0.0
+    assert F.eval(0.5) == 0.5
+    assert F.eval(INF) == 1.0
+    assert F.eval(-INF) == F.limit_neg == 0.0
 
 
 def test_table_breakpoint_values_exact():
@@ -161,6 +161,12 @@ def test_build_panel_budget_exhaustion():
     noisy = lambda y: np.sign(np.sin(57.31 * np.asarray(y, dtype=float)))
     with pytest.raises(ToleranceNotMet):
         build_primitive_from_pointwise(noisy, (0.0, 10.0), 1e-12, max_panels=64)
+
+
+def test_build_nan_data_raises():
+    # a NaN error estimate must not pass for a met tolerance
+    with pytest.raises(ToleranceNotMet):
+        build_primitive_from_pointwise(lambda y: np.full_like(y, np.nan), (0.0, 1.0), 1e-10)
 
 
 def test_builder_reproduces_subinterval_quadrature():
