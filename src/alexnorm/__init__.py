@@ -9,7 +9,7 @@ from .errors import (AlexnormError, DegenerateWeight, HypothesisViolated,
 from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     alexiewicz_norm_halfline, gap_sweep, hk_not_l1_witness,
                     one_norm, osc_lower_bound_check, primitive_gap_l1,
-                    primitive_gap_norm, serialize_gap_reports, sinc_integrand,
+                    primitive_gap_norm, sinc_integrand,
                     slow_decay_construct, sweep_converged, translate,
                     translation_gap, verify_slow_decay)
 from .poisson import (HalfPlaneOperator, HalfPlanePoint, KernelPair,

@@ -2,10 +2,11 @@
 
 A manifest is one JSON file listing scenarios; each scenario names a harness
 kind, its function/weight specs (builtin names or inline tables), a parameter
-ladder and thresholds, and the CSV file it writes.  Two runs of the same
-manifest produce byte-identical output: floats are serialized with 17
-significant digits and the only randomness (isometry pair draws) is seeded
-from the manifest.
+ladder and thresholds, and the CSV file it writes.  Every field that selects
+code is resolved once, while parsing, so a bad manifest fails before anything
+runs; every CSV format is defined here.  Two runs of the same manifest produce
+byte-identical output: floats are serialized with 17 significant digits and
+the only randomness (isometry pair draws) is seeded from the manifest.
 """
 
 from __future__ import annotations
@@ -18,28 +19,23 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import registry
 from .errors import (AlexnormError, HypothesisViolated, NotAbsolutelyIntegrable,
                      SpecParseError)
-from .norms import (DecaySpec, SmoothBump, alexiewicz_norm,
+from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     gap_sweep, hk_not_l1_witness, one_norm, osc_lower_bound_check,
-                    primitive_gap_l1, primitive_gap_norm, serialize_gap_reports,
-                    slow_decay_construct, sweep_converged, translate,
-                    verify_slow_decay)
+                    primitive_gap_l1, primitive_gap_norm, slow_decay_construct,
+                    sweep_converged, translate, verify_slow_decay)
 from .poisson import (PeriodicIntegrand, HalfPlanePoint, disc_boundary_convergence,
                       disc_kernel, halfplane_weighted_convergence, poisson_disc,
-                      poisson_halfplane, serialize_poisson_reports)
-from .weights import (ratio_conditions_check, sufficient_conditions_check,
+                      poisson_halfplane)
+from .weights import (Weight, ratio_conditions_check, sufficient_conditions_check,
                       uniform_bound_lemma_check, variation_bound_check,
                       weight_ratio, weighted_gap_sweep)
-
-SCENARIO_KINDS = ("norm", "gap_sweep", "decay", "osc_bound", "primitive_gap",
-                  "weight_audit", "weighted_sweep", "lemma_check",
-                  "poisson_disc", "poisson_halfplane")
 
 _KNOWN_KEYS = {"name", "kind", "function_spec", "weight_spec", "ladder",
                "thresholds", "output_path"}
@@ -49,8 +45,10 @@ _KNOWN_KEYS = {"name", "kind", "function_spec", "weight_spec", "ladder",
 class Scenario:
     name: str
     kind: str
-    function_spec: Optional[dict] = None
-    weight_spec: Optional[dict] = None
+    function: Optional[Callable] = None   # Integrand, or evaluator of constant data
+    weight: Optional[Weight] = None
+    psi: Optional[Callable] = None        # decay target ("decay")
+    family: Optional[tuple] = None        # _LEMMA_FAMILIES entry ("lemma_check")
     ladder: list = field(default_factory=list)
     tol: float = 1e-9
     final_gap: Optional[float] = None
@@ -78,6 +76,11 @@ class ScenarioResult:
     error: str = ""
 
 
+# ---------------------------------------------------------------------------
+# CSV format: 17 significant digits, "true"/"false" verdicts
+# ---------------------------------------------------------------------------
+
+
 def _f(v) -> str:
     if v is None or v == "":
         return ""
@@ -88,38 +91,74 @@ def _b(v: bool) -> str:
     return "true" if v else "false"
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def serialize_gap_reports(reports: Sequence[GapReport]) -> str:
+    """Gap table, rows ordered by |x| descending."""
+    rows = sorted(reports, key=lambda r: (-abs(r.x), r.x))
+    return _csv("x,gap,bound_lower,bound_upper,passed",
+                (",".join([_f(r.x), _f(r.gap), _f(r.bound_lower), _f(r.bound_upper),
+                           _b(r.passed)]) for r in rows))
+
+
+def serialize_poisson_reports(reports: Sequence[GapReport]) -> str:
+    """Boundary-convergence table, rows in ladder order."""
+    return _csv("param,gap,majorant,passed",
+                (",".join([_f(r.x), _f(r.gap), _f(r.bound_upper), _b(r.passed)])
+                 for r in reports))
+
+
 # ---------------------------------------------------------------------------
 # Parsing and validation
 # ---------------------------------------------------------------------------
 
 
-def _parse_function(spec, where: str, allow_bare: bool = False):
+def _parse_spec(spec, where: str, build):
+    """build(spec) for a function or weight spec; errors name the field."""
     if not isinstance(spec, dict):
         raise SpecParseError(f"{where}: expected an object")
-    kind = spec.get("kind")
-    if kind == "constant":
-        if not allow_bare:
-            raise SpecParseError(
-                f"{where}.kind: constant boundary data needs a weighted scenario")
-        c = float(spec.get("value", 1.0))
-        return lambda y: np.full_like(np.asarray(y, dtype=float), c)
     try:
-        return registry.function_from_spec(spec)
+        return build(spec)
     except KeyError as exc:
         raise SpecParseError(f"{where}.name: unknown builtin {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecParseError(f"{where}: {exc}") from exc
 
 
-def _parse_weight(spec, where: str):
-    if not isinstance(spec, dict):
-        raise SpecParseError(f"{where}: expected an object")
-    try:
-        return registry.weight_from_spec(spec)
-    except KeyError as exc:
-        raise SpecParseError(f"{where}.name: unknown builtin {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecParseError(f"{where}: {exc}") from exc
+def _bare_constant(spec):
+    c = float(spec.get("value", 1.0))
+    return lambda y: np.full_like(np.asarray(y, dtype=float), c)
+
+
+_PSI_REGISTRY = {
+    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=float)),
+    "linear": lambda x: np.asarray(x, dtype=float),
+}
+
+
+def _psi_from_spec(spec):
+    if spec.get("name") == "power":
+        p = float(spec.get("exponent", 0.5))
+        return lambda x: np.asarray(x, dtype=float) ** p
+    return _PSI_REGISTRY[spec.get("name")]
+
+
+# lemma_check families: name -> (default interval, n-th member, limit in measure)
+_LEMMA_FAMILIES = {
+    # 1 + sin(y)/n: bounded variation, converging to 1
+    "damped_sine": ((0.0, 4.0 * math.pi),
+                    lambda n: lambda y: 1.0 + np.sin(np.asarray(y, dtype=float)) / n,
+                    lambda y: np.ones_like(np.asarray(y, dtype=float))),
+    # n on [0, 1/n): converges to 0 in measure, but its variation 2n outgrows
+    # any budget
+    "spike": ((0.0, 1.0),
+              lambda n: lambda y: n * ((np.asarray(y, dtype=float) >= 0)
+                                       & (np.asarray(y, dtype=float) < 1.0 / n)
+                                       ).astype(float),
+              lambda y: np.zeros_like(np.asarray(y, dtype=float))),
+}
 
 
 def parse_manifest(data: dict) -> RunManifest:
@@ -135,7 +174,7 @@ def parse_manifest(data: dict) -> RunManifest:
         if not isinstance(sc, dict):
             raise SpecParseError(f"{where}: expected an object")
         kind = sc.get("kind")
-        if kind not in SCENARIO_KINDS:
+        if not isinstance(kind, str) or kind not in _EXECUTORS:
             raise SpecParseError(f"{where}.kind: unknown kind {kind!r}")
         name = sc.get("name") or f"scenario_{i}"
         thresholds = sc.get("thresholds", {}) or {}
@@ -151,22 +190,43 @@ def parse_manifest(data: dict) -> RunManifest:
         if needs_ladder and not ladder:
             raise SpecParseError(f"{where}.ladder: must be nonempty for kind {kind!r}")
         params = {k: v for k, v in sc.items() if k not in _KNOWN_KEYS}
-        # resolve specs now so a bad name fails before anything runs
-        if sc.get("function_spec") is not None:
-            _parse_function(sc["function_spec"], f"{where}.function_spec",
-                            allow_bare=kind in ("weighted_sweep", "poisson_halfplane"))
+        # resolve every field that selects code now, so a bad one fails
+        # before anything runs
+        function = weight = psi = family = None
+        fspec = sc.get("function_spec")
+        if fspec is not None:
+            # constant boundary data is not integrable by itself
+            bare = isinstance(fspec, dict) and fspec.get("kind") == "constant"
+            if bare and kind not in ("weighted_sweep", "poisson_halfplane"):
+                raise SpecParseError(f"{where}.function_spec.kind: constant "
+                                     f"boundary data needs a weighted scenario")
+            function = _parse_spec(fspec, f"{where}.function_spec",
+                                   _bare_constant if bare else registry.function_from_spec)
         elif kind in ("norm", "gap_sweep", "primitive_gap", "weighted_sweep",
                       "poisson_disc", "poisson_halfplane"):
             raise SpecParseError(f"{where}.function_spec: required for kind {kind!r}")
         if sc.get("weight_spec") is not None:
-            _parse_weight(sc["weight_spec"], f"{where}.weight_spec")
+            weight = _parse_spec(sc["weight_spec"], f"{where}.weight_spec",
+                                 registry.weight_from_spec)
         elif kind in ("weight_audit", "weighted_sweep", "poisson_halfplane"):
             raise SpecParseError(f"{where}.weight_spec: required for kind {kind!r}")
+        if (kind == "weight_audit" and params.get("closed_form_check") is not None
+                and weight is not registry.get_weight("reciprocal_quadratic")):
+            # the closed form checked against is that weight's ratio variation
+            raise SpecParseError(f"{where}.closed_form_check: only for the "
+                                 f"reciprocal_quadratic builtin weight")
+        if kind == "decay":
+            psi = _parse_spec(sc.get("psi", {"name": "sqrt"}), f"{where}.psi",
+                              _psi_from_spec)
+        if kind == "lemma_check":
+            fam = sc.get("family", "damped_sine")
+            if not isinstance(fam, str) or fam not in _LEMMA_FAMILIES:
+                raise SpecParseError(f"{where}.family: unknown family {fam!r}")
+            family = _LEMMA_FAMILIES[fam]
         scenarios.append(Scenario(
-            name=name, kind=kind, function_spec=sc.get("function_spec"),
-            weight_spec=sc.get("weight_spec"), ladder=ladder, tol=tol,
-            final_gap=final_gap, output_path=sc.get("output_path", f"{name}.csv"),
-            params=params))
+            name=name, kind=kind, function=function, weight=weight, psi=psi,
+            family=family, ladder=ladder, tol=tol, final_gap=final_gap,
+            output_path=sc.get("output_path", f"{name}.csv"), params=params))
     return RunManifest(scenarios=scenarios, seed=int(data.get("seed", 0)),
                        versions=str(data.get("versions", "")),
                        timestamp=str(data.get("timestamp", "")))
@@ -181,22 +241,25 @@ def load_manifest(path) -> RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# Scenario executors
+# Scenario executors: (scenario, seed) -> (passed, headline, csv_text)
 # ---------------------------------------------------------------------------
 
 
-def _run_norm(sc: Scenario, seed: int) -> ScenarioResult:
-    f = _parse_function(sc.function_spec, sc.name)
+def _gap_headline(sc: Scenario, final_gap: float, converged) -> dict:
+    """{"final_gap": final_gap}, plus "converged" = converged(sc.final_gap)
+    when the manifest sets that threshold (summary.json keeps the key order)."""
+    headline = {"final_gap": final_gap}
+    if sc.final_gap is not None:
+        headline["converged"] = converged(sc.final_gap)
+    return headline
+
+
+def _run_norm(sc: Scenario, seed: int):
+    f = sc.function
     val = alexiewicz_norm(f)
     expected = sc.params.get("expected")
-    rows = []
-    ok = True
-    if expected is not None:
-        row_ok = abs(val - float(expected)) <= sc.tol
-        ok = ok and row_ok
-        rows.append(f"{f.label},{_f(val)},{_f(expected)},{_b(row_ok)}")
-    else:
-        rows.append(f"{f.label},{_f(val)},,true")
+    ok = expected is None or abs(val - float(expected)) <= sc.tol
+    rows = [f"{f.label},{_f(val)},{_f(expected)},{_b(ok)}"]
     headline = {"norm": val}
     if sc.params.get("check_isometry"):
         pairs = int(sc.params.get("pairs", 100))
@@ -216,79 +279,45 @@ def _run_norm(sc: Scenario, seed: int) -> ScenarioResult:
             ok = ok and row_ok
             rows.append(f"{name}@x={x:.6g},{_f(shifted)},{_f(base_norms[name])},{_b(row_ok)}")
         headline["isometry_worst_error"] = worst
-    csv = "label,norm,expected,passed\n" + "\n".join(rows) + "\n"
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=csv, output_path=sc.output_path)
+    return ok, headline, _csv("label,norm,expected,passed", rows)
 
 
-def _run_gap_sweep(sc: Scenario, seed: int) -> ScenarioResult:
-    f = _parse_function(sc.function_spec, sc.name)
-    reports = gap_sweep(f, sc.ladder, sc.tol)
-    ok = all(r.passed for r in reports)
-    headline = {"final_gap": reports[-1].gap}
-    if sc.final_gap is not None:
-        conv = sweep_converged(reports, sc.final_gap)
-        ok = ok and conv
-        headline["converged"] = conv
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=serialize_gap_reports(reports),
-                          output_path=sc.output_path)
+def _run_gap_sweep(sc: Scenario, seed: int):
+    reports = gap_sweep(sc.function, sc.ladder, sc.tol)
+    headline = _gap_headline(sc, reports[-1].gap, lambda g: sweep_converged(reports, g))
+    ok = all(r.passed for r in reports) and headline.get("converged", True)
+    return ok, headline, serialize_gap_reports(reports)
 
 
-_PSI_REGISTRY = {
-    "sqrt": lambda x: np.sqrt(np.asarray(x, dtype=float)),
-    "linear": lambda x: np.asarray(x, dtype=float),
-}
-
-
-def _psi_from_params(params: dict, where: str):
-    spec = params.get("psi", {"name": "sqrt"})
-    name = spec.get("name")
-    if name == "power":
-        p = float(spec.get("exponent", 0.5))
-        return lambda x: np.asarray(x, dtype=float) ** p
-    if name in _PSI_REGISTRY:
-        return _PSI_REGISTRY[name]
-    raise SpecParseError(f"{where}.psi.name: unknown decay target {name!r}")
-
-
-def _run_decay(sc: Scenario, seed: int) -> ScenarioResult:
-    psi = _psi_from_params(sc.params, sc.name)
+def _run_decay(sc: Scenario, seed: int):
     n_max = int(sc.params.get("n_max", 256))
-    spec = DecaySpec(psi, n_max)
+    spec = DecaySpec(sc.psi, n_max)
     f = slow_decay_construct(spec)
     xs = sc.ladder or [1.0 / n for n in range(2, n_max + 1)]
     reports = verify_slow_decay(f, spec, xs, sc.tol)
-    ok = all(r.passed for r in reports)
-    return ScenarioResult(sc.name, sc.kind, passed=ok,
-                          headline={"checked_shifts": len(reports)},
-                          csv_text=serialize_gap_reports(reports),
-                          output_path=sc.output_path)
+    return (all(r.passed for r in reports), {"checked_shifts": len(reports)},
+            serialize_gap_reports(reports))
 
 
-def _run_osc_bound(sc: Scenario, seed: int) -> ScenarioResult:
+def _run_osc_bound(sc: Scenario, seed: int):
     bump = SmoothBump(center=float(sc.params.get("center", 0.0)),
                       halfwidth=float(sc.params.get("halfwidth", 1.0)),
                       amplitude=float(sc.params.get("amplitude", 1.0)))
     reports = osc_lower_bound_check(bump, sc.ladder, sc.tol)
-    ok = all(r.passed for r in reports)
-    return ScenarioResult(sc.name, sc.kind, passed=ok,
-                          headline={"osc": bump.osc(),
-                                    "derivative_sup": bump.derivative_sup()},
-                          csv_text=serialize_gap_reports(reports),
-                          output_path=sc.output_path)
+    return (all(r.passed for r in reports),
+            {"osc": bump.osc(), "derivative_sup": bump.derivative_sup()},
+            serialize_gap_reports(reports))
 
 
-def _run_primitive_gap(sc: Scenario, seed: int) -> ScenarioResult:
-    f = _parse_function(sc.function_spec, sc.name)
+def _run_primitive_gap(sc: Scenario, seed: int):
+    f = sc.function
     norm = alexiewicz_norm(f)
-    want_l1 = bool(sc.params.get("l1", True))
     l1_bound = None
-    if want_l1:
+    if sc.params.get("l1", True):
         try:
             l1_bound = one_norm(f)
         except NotAbsolutelyIntegrable:
-            l1_bound = None
+            pass
     rows = []
     ok = True
     for x in sorted(sc.ladder, key=lambda t: (-abs(t), t)):
@@ -318,9 +347,7 @@ def _run_primitive_gap(sc: Scenario, seed: int) -> ScenarioResult:
             "witness_gap_norm": wit.gap_norm,
         })
         ok = ok and wit.abs_integral_diverges and wit.alexiewicz_finite
-    csv = "x,gap_norm,bound_norm,gap_l1,bound_l1,passed\n" + "\n".join(rows) + "\n"
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=csv, output_path=sc.output_path)
+    return ok, headline, _csv("x,gap_norm,bound_norm,gap_l1,bound_l1,passed", rows)
 
 
 def _reciprocal_quadratic_ratio_variation(x: float, I) -> float:
@@ -336,8 +363,8 @@ def _reciprocal_quadratic_ratio_variation(x: float, I) -> float:
     return sum(abs(g(q) - g(p)) for p, q in zip(ys, ys[1:]))
 
 
-def _run_weight_audit(sc: Scenario, seed: int) -> ScenarioResult:
-    w = _parse_weight(sc.weight_spec, sc.name)
+def _run_weight_audit(sc: Scenario, seed: int):
+    w = sc.weight
     I = tuple(sc.params.get("interval", (-10.0, 10.0)))
     eps = float(sc.params.get("eps", 0.1))
     xs = sc.ladder
@@ -371,74 +398,43 @@ def _run_weight_audit(sc: Scenario, seed: int) -> ScenarioResult:
             row_ok = abs(lhs - rhs) <= rel * rhs
             ok = ok and row_ok
             rows.append(f"variation_closed_form@x={x:g},{_f(lhs)},{_f(rhs)},{_b(row_ok)}")
-    csv = "item,lhs,rhs,passed\n" + "\n".join(rows) + "\n"
     headline = {"ratio_passed": rc.passed, "sufficient_passed": scc.passed}
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=csv, output_path=sc.output_path)
+    return ok, headline, _csv("item,lhs,rhs,passed", rows)
 
 
-def _run_weighted_sweep(sc: Scenario, seed: int) -> ScenarioResult:
-    f = _parse_function(sc.function_spec, sc.name, allow_bare=True)
-    w = _parse_weight(sc.weight_spec, sc.name)
-    reports = weighted_gap_sweep(f, w, sc.ladder, sc.tol)
-    ok = all(r.passed for r in reports)
-    headline = {"final_gap": reports[-1].gap}
-    if sc.final_gap is not None:
-        conv = sweep_converged(reports, sc.final_gap)
-        ok = ok and conv
-        headline["converged"] = conv
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=serialize_gap_reports(reports),
-                          output_path=sc.output_path)
+def _run_weighted_sweep(sc: Scenario, seed: int):
+    reports = weighted_gap_sweep(sc.function, sc.weight, sc.ladder, sc.tol)
+    headline = _gap_headline(sc, reports[-1].gap, lambda g: sweep_converged(reports, g))
+    ok = all(r.passed for r in reports) and headline.get("converged", True)
+    return ok, headline, serialize_gap_reports(reports)
 
 
-def _run_lemma_check(sc: Scenario, seed: int) -> ScenarioResult:
-    family = sc.params.get("family", "damped_sine")
+def _run_lemma_check(sc: Scenario, seed: int):
     ns = [int(n) for n in sc.params.get("ns", [1, 2, 4, 8])]
     M = float(sc.params.get("M", 8.0))
     expect = sc.params.get("expect", "witnessed")
-    one = lambda y: np.ones_like(np.asarray(y, dtype=float))
-    zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
-    if family == "damped_sine":
-        E = tuple(sc.params.get("interval", (0.0, 4.0 * math.pi)))
-        seq = [(lambda y, n=n: 1.0 + np.sin(np.asarray(y, dtype=float)) / n) for n in ns]
-        g_limit = one
-    elif family == "spike":
-        E = tuple(sc.params.get("interval", (0.0, 1.0)))
-        seq = [(lambda y, n=n: n * ((np.asarray(y, dtype=float) >= 0)
-                                    & (np.asarray(y, dtype=float) < 1.0 / n)).astype(float))
-               for n in ns]
-        g_limit = zero
-    else:
-        raise SpecParseError(f"{sc.name}.family: unknown family {family!r}")
+    E, member, g_limit = sc.family
+    E = tuple(sc.params.get("interval", E))
+    seq = [member(n) for n in ns]
     try:
         rep = uniform_bound_lemma_check(seq, E, g_limit, M)
     except HypothesisViolated as exc:
         ok = expect == "violated"
-        csv = "item,value,bound,passed\n" + f"hypothesis_violated,,,{_b(ok)}\n"
-        return ScenarioResult(sc.name, sc.kind, passed=ok,
-                              headline={"hypothesis_violated": True, "detail": str(exc)},
-                              csv_text=csv, output_path=sc.output_path)
+        return (ok, {"hypothesis_violated": True, "detail": str(exc)},
+                _csv("item,value,bound,passed", [f"hypothesis_violated,,,{_b(ok)}"]))
     rows = [f"sup_abs_n={n},{_f(s)},{_f(rep.bound)},{_b(s <= rep.bound + sc.tol)}"
             for n, s in zip(ns, rep.sup_values)]
     ok = rep.witnessed and expect == "witnessed"
-    csv = "item,value,bound,passed\n" + "\n".join(rows) + "\n"
-    return ScenarioResult(sc.name, sc.kind, passed=ok,
-                          headline={"bound": rep.bound, "witnessed": rep.witnessed},
-                          csv_text=csv, output_path=sc.output_path)
+    return (ok, {"bound": rep.bound, "witnessed": rep.witnessed},
+            _csv("item,value,bound,passed", rows))
 
 
-def _run_poisson_disc(sc: Scenario, seed: int) -> ScenarioResult:
-    f = PeriodicIntegrand(_parse_function(sc.function_spec, sc.name))
-    rs = sc.ladder
-    reports = disc_boundary_convergence(f, rs)
+def _run_poisson_disc(sc: Scenario, seed: int):
+    reports = disc_boundary_convergence(PeriodicIntegrand(sc.function), sc.ladder)
     gaps = [r.gap for r in reports]
     ok = all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
-    headline = {"final_gap": gaps[-1]}
-    if sc.final_gap is not None:
-        conv = gaps[-1] < sc.final_gap
-        ok = ok and conv
-        headline["converged"] = conv
+    headline = _gap_headline(sc, gaps[-1], lambda g: gaps[-1] < g)
+    ok = ok and headline.get("converged", True)
 
     one = PeriodicIntegrand(registry.get_function("one_period"))
     mass_err = 0.0
@@ -456,33 +452,25 @@ def _run_poisson_disc(sc: Scenario, seed: int) -> ScenarioResult:
         cos_err = max(abs(poisson_disc(cosf, r, 0.0) - r) for r in (0.0, 0.5, 0.9, 0.99))
         headline["cos_extension_max_err"] = cos_err
         ok = ok and cos_err <= 1e-8
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=serialize_poisson_reports(reports),
-                          output_path=sc.output_path)
+    return ok, headline, serialize_poisson_reports(reports)
 
 
-def _run_poisson_halfplane(sc: Scenario, seed: int) -> ScenarioResult:
-    f = _parse_function(sc.function_spec, sc.name, allow_bare=True)
-    w = _parse_weight(sc.weight_spec, sc.name)
+def _run_poisson_halfplane(sc: Scenario, seed: int):
+    w = sc.weight
     I = tuple(sc.params.get("interval", (-8.0, 8.0)))
-    reports = halfplane_weighted_convergence(f, w, sc.ladder, I, tol=sc.tol)
+    reports = halfplane_weighted_convergence(sc.function, w, sc.ladder, I, tol=sc.tol)
     gaps = [r.gap for r in reports]
     ok = all(r.passed for r in reports)
     ok = ok and all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
-    headline = {"final_gap": gaps[-1]}
-    if sc.final_gap is not None:
-        conv = gaps[-1] < sc.final_gap
-        ok = ok and conv
-        headline["converged"] = conv
+    headline = _gap_headline(sc, gaps[-1], lambda g: gaps[-1] < g)
+    ok = ok and headline.get("converged", True)
     if sc.params.get("unit_check", True):
         onef = lambda y: np.ones_like(np.asarray(y, dtype=float))
         unit_err = max(abs(poisson_halfplane(onef, w, HalfPlanePoint(0.3, y)) - 1.0)
                        for y in (0.1, 1.0))
         headline["unit_extension_max_err"] = unit_err
         ok = ok and unit_err <= 1e-6
-    return ScenarioResult(sc.name, sc.kind, passed=ok, headline=headline,
-                          csv_text=serialize_poisson_reports(reports),
-                          output_path=sc.output_path)
+    return ok, headline, serialize_poisson_reports(reports)
 
 
 _EXECUTORS = {
@@ -527,13 +515,13 @@ def run(manifest: RunManifest, out_dir=None, jobs: int = 1,
         if tol_override is not None:
             sc = replace(sc, tol=tol_override)
         try:
-            return _EXECUTORS[sc.kind](sc, manifest.seed)
-        except SpecParseError:
-            raise
+            passed, headline, csv_text = _EXECUTORS[sc.kind](sc, manifest.seed)
         except AlexnormError as exc:
             return ScenarioResult(sc.name, sc.kind, status="error",
                                   error=f"{type(exc).__name__}: {exc}",
                                   output_path=sc.output_path)
+        return ScenarioResult(sc.name, sc.kind, passed=passed, headline=headline,
+                              csv_text=csv_text, output_path=sc.output_path)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

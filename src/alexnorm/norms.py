@@ -26,9 +26,6 @@ from .realfn import (ClosedFormPrimitive, Integrand, Interval,
                      Primitive, _call_vec, build_primitive_from_pointwise,
                      gauss_nodes, grid_extrema)
 
-GAP_CSV_HEADER = "x,gap,bound_lower,bound_upper,passed"
-
-
 @dataclass(frozen=True)
 class GapReport:
     """One row of a convergence table: shift (or ladder parameter), measured
@@ -39,20 +36,6 @@ class GapReport:
     bound_lower: Optional[float] = None
     bound_upper: Optional[float] = None
     passed: bool = True
-
-
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else format(v, ".17g")
-
-
-def serialize_gap_reports(reports: Sequence[GapReport]) -> str:
-    """CSV serialization, ordered by |x| descending, 17 significant digits."""
-    rows = sorted(reports, key=lambda r: (-abs(r.x), r.x))
-    lines = [GAP_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([_fmt(r.x), _fmt(r.gap), _fmt(r.bound_lower),
-                               _fmt(r.bound_upper), "true" if r.passed else "false"]))
-    return "\n".join(lines) + "\n"
 
 
 def sweep_converged(reports: Sequence[GapReport], final_gap: float,

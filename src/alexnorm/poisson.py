@@ -32,22 +32,10 @@ from .norms import GapReport
 from .realfn import (Integrand, Interval, PiecewiseLinearPrimitive, _as_interval,
                      _call_vec, build_primitive_from_pointwise, gauss_nodes,
                      variation)
-from .weights import Weight, _resolve_pointwise, _weighted_gap_single, product_integrand
+from .weights import (Weight, _refinement_stable, _resolve_pointwise,
+                      _weighted_gap_single, product_integrand)
 
 TWO_PI = 2.0 * math.pi
-
-POISSON_CSV_HEADER = "param,gap,majorant,passed"
-
-
-def serialize_poisson_reports(reports: Sequence[GapReport]) -> str:
-    """CSV for boundary-convergence tables, rows in ladder order."""
-    lines = [POISSON_CSV_HEADER]
-    for r in reports:
-        maj = "" if r.bound_upper is None else format(r.bound_upper, ".17g")
-        lines.append(",".join([format(r.x, ".17g"), format(r.gap, ".17g"), maj,
-                               "true" if r.passed else "false"]))
-    return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Unit disc
@@ -382,7 +370,6 @@ def kernel_bv_audit(w: Weight, z: HalfPlanePoint, window,
     v1b = variation(kp.Psi, window, levels + 1, extra_points=seeds)
     v2 = variation(inv, window, levels, extra_points=seeds)
     v2b = variation(inv, window, levels + 1, extra_points=seeds)
-    stable = (abs(v1b - v1) <= max(1e-6, 5e-3 * (1.0 + v1b))
-              and abs(v2b - v2) <= max(1e-6, 5e-3 * (1.0 + v2b)))
+    stable = _refinement_stable(v1, v1b) and _refinement_stable(v2, v2b)
     return KernelBVReport(V_Psi=v1b, V_invPsi=v2b,
                           bounded=stable and math.isfinite(v1b) and math.isfinite(v2b))

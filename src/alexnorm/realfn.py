@@ -273,6 +273,23 @@ class PiecewiseLinearPrimitive(Primitive):
         )
 
 
+def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
+    """Per-panel Chebyshev antiderivatives of the rows of coefs, each constant
+    shifted so the panels join continuously from value start at edges[0].
+    Returns the coefficient rows and the values at the edges."""
+    n, d = coefs.shape
+    hw = 0.5 * np.diff(edges)
+    out = np.zeros((n, d + 1))
+    at_edges = np.empty(n + 1)
+    at_edges[0] = start
+    for i in range(n):
+        out[i] = hw[i] * _cheb.chebint(coefs[i])
+        left = _cheb.chebval(-1.0, out[i])
+        out[i][0] += at_edges[i] - left
+        at_edges[i + 1] = _cheb.chebval(1.0, out[i])
+    return out, at_edges
+
+
 class PiecewiseChebyshevPrimitive(Primitive):
     """Adaptive panel representation: per panel a Chebyshev series for f,
     and its exact antiderivative for F.  Constant outside the panel range."""
@@ -287,18 +304,7 @@ class PiecewiseChebyshevPrimitive(Primitive):
             raise ValueError("one coefficient row per panel required")
         self.edges = edges
         self.fc = f_coefs
-        n, d = f_coefs.shape
-        hw = 0.5 * np.diff(edges)
-        Fc = np.zeros((n, d + 1))
-        for i in range(n):
-            Fc[i] = hw[i] * _cheb.chebint(f_coefs[i])
-        # chain panels so F is continuous and F(edges[0]) = F_edge0
-        F_edges = np.empty(n + 1)
-        F_edges[0] = F_edge0
-        for i in range(n):
-            left = _cheb.chebval(-1.0, Fc[i])
-            Fc[i][0] += F_edges[i] - left
-            F_edges[i + 1] = _cheb.chebval(1.0, Fc[i])
+        Fc, F_edges = _chained_antiderivative(edges, f_coefs, F_edge0)
         self.Fc = Fc
         self.F_edges = F_edges
         self.limit_neg = float(F_edges[0])
@@ -420,17 +426,7 @@ class PiecewiseChebyshevPrimitive(Primitive):
 
     def _antideriv(self):
         if self._SF is None:
-            n = len(self.fc)
-            hw = 0.5 * np.diff(self.edges)
-            SFc = np.zeros((n, self.Fc.shape[1] + 1))
-            SF_edges = np.empty(n + 1)
-            SF_edges[0] = 0.0
-            for i in range(n):
-                SFc[i] = hw[i] * _cheb.chebint(self.Fc[i])
-                left = _cheb.chebval(-1.0, SFc[i])
-                SFc[i][0] += SF_edges[i] - left
-                SF_edges[i + 1] = _cheb.chebval(1.0, SFc[i])
-            self._SF = (SFc, SF_edges)
+            self._SF = _chained_antiderivative(self.edges, self.Fc, 0.0)
         return self._SF
 
     def _antideriv_at(self, t: float) -> float:
@@ -522,17 +518,6 @@ class ClosedFormPrimitive(Primitive):
                 include=(self.limit_neg, self.limit_pos))
             self._extrema_cache[key] = (lo, hi)
         return self._extrema_cache[key]
-
-    def window_integral(self, u: float, v: float) -> float:
-        if v < u:
-            return -self.window_integral(v, u)
-        span = v - u
-        if span == 0.0:
-            return 0.0
-        panels = max(1, int(math.ceil(span / 2.0)))
-        pts = np.linspace(u, v, panels + 1)
-        return float(sum(gl_integral(self.eval, pts[i], pts[i + 1], 32)
-                         for i in range(panels)))
 
     def equals(self, other):
         return (

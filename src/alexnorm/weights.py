@@ -206,6 +206,21 @@ def convergence_in_measure(h_family: Mapping[float, Evaluator], target: Evaluato
 # ---------------------------------------------------------------------------
 
 
+def _refinement_stable(coarse: float, fine: float) -> bool:
+    """An estimate counts as settled when one refinement doubling moves it by
+    at most max(1e-6, 5e-3 * (1 + fine))."""
+    return abs(fine - coarse) <= max(1e-6, 5e-3 * (1.0 + fine))
+
+
+def _measure_converges(ests: Sequence[MeasureEstimate], grid: int) -> bool:
+    """Off-by-eps fractions nonincreasing as the shift shrinks, within one and
+    a half grid cells, with the last one at most 0.05."""
+    fr = [e.fraction for e in ests]
+    slack = 1.5 / grid + 1e-12
+    return (all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
+            and fr[-1] <= 0.05)
+
+
 @dataclass(frozen=True)
 class RatioConditionsReport:
     xs: tuple
@@ -234,7 +249,7 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
     bounds = []
     bound_deltas = []
     variations = []
-    var_deltas = []
+    coarse_variations = []
     for x in xs_sorted:
         g = weight_ratio(w, x)
         b = max(g.sup_on(I, grid) for I in intervals)
@@ -244,13 +259,13 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
         v = max(g.variation_on(I, levels) for I in intervals)
         v2 = max(g.variation_on(I, levels + 1) for I in intervals)
         variations.append(v2)
-        var_deltas.append(abs(v2 - v))
+        coarse_variations.append(v)
 
     uniform_bound = max(bounds)
     uniform_variation = max(variations)
     bound_stable = all(d <= 1e-3 * (1.0 + b) for d, b in zip(bound_deltas, bounds))
-    variation_stable = all(d <= max(1e-6, 5e-3 * (1.0 + v))
-                           for d, v in zip(var_deltas, variations))
+    variation_stable = all(_refinement_stable(v, v2)
+                           for v, v2 in zip(coarse_variations, variations))
 
     family = {x: weight_ratio(w, x) for x in xs_sorted}
     one = lambda y: np.ones_like(np.asarray(y, dtype=float))
@@ -258,10 +273,7 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
     measure_ok = True
     for I in intervals:
         ests = convergence_in_measure(family, one, I, eps, grid)
-        fr = [e.fraction for e in ests]
-        slack = 1.5 / grid + 1e-12
-        nonincreasing = all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
-        measure_ok = measure_ok and nonincreasing and fr[-1] <= 0.05
+        measure_ok = measure_ok and _measure_converges(ests, grid)
         measures.extend(ests)
 
     passed = (math.isfinite(uniform_bound) and bound_stable and
@@ -296,15 +308,12 @@ def sufficient_conditions_check(w: Weight, I, grid: int = 4096,
         raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
     bv = w.variation_on(I, levels)
     bv2 = w.variation_on(I, levels + 1)
-    bv_stable = abs(bv2 - bv) <= max(1e-6, 5e-3 * (1.0 + bv2))
+    bv_stable = _refinement_stable(bv, bv2)
 
     x_ladder = [2.0 ** -k for k in range(1, 10)]
     family = {x: (lambda y, x=x: w(np.asarray(y, dtype=float) + x)) for x in x_ladder}
     ests = convergence_in_measure(family, lambda y: w(y), I, 0.05, grid)
-    fr = [e.fraction for e in ests]
-    slack = 1.5 / grid + 1e-12
-    measure_ok = (all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
-                  and fr[-1] <= 0.05)
+    measure_ok = _measure_converges(ests, grid)
 
     passed = bool(m > 0 and math.isfinite(M) and bv_stable and measure_ok)
     return SufficientConditionsReport(m_I=m, M_I=M, bv_local=bv2,

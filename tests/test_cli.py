@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import alexnorm
-from alexnorm.cli import parse_manifest, run
+from alexnorm.cli import load_manifest, main, parse_manifest, run
 from alexnorm.errors import SpecParseError
 from alexnorm.registry import describe, function_from_spec, registry_list
 
@@ -87,6 +87,20 @@ def test_parse_missing_weight():
 def test_parse_constant_function_only_in_weighted_kinds():
     with pytest.raises(SpecParseError, match="constant boundary data"):
         parse_manifest(_scenario(function_spec={"kind": "constant", "value": 1.0}))
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({"kind": ["norm"]}, r"scenarios\[0\]\.kind"),
+    ({"kind": "decay", "psi": {"name": "cubic"}}, r"scenarios\[0\]\.psi\.name"),
+    ({"kind": "lemma_check", "family": "comb"}, r"scenarios\[0\]\.family"),
+    # the closed form checked is the reciprocal_quadratic ratio variation
+    ({"kind": "weight_audit", "ladder": [0.5],
+      "weight_spec": {"kind": "builtin", "name": "exponential"},
+      "closed_form_check": {"xs": [0.5]}}, r"scenarios\[0\]\.closed_form_check"),
+], ids=["kind", "psi", "family", "closed_form_check"])
+def test_parse_rejects_field_before_running(fields, where):
+    with pytest.raises(SpecParseError, match=where):
+        parse_manifest(_scenario(**fields))
 
 
 # -- runner ------------------------------------------------------------------
@@ -171,6 +185,22 @@ def test_run_failing_scenario_exit_code(tmp_path):
     assert report.exit_code == 1
     assert report.summary["scenarios"][0]["passed"] is False
     assert report.summary["scenarios"][0]["status"] == "ok"
+
+
+def test_tol_override_decides_the_verdict(tmp_path):
+    # |1 - expected| = 1e-10 fails tol 1e-12 and passes an override of 1e-9
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_scenario(expected=1.0 + 1e-10,
+                                          thresholds={"tol": 1e-12})))
+    report = run(load_manifest(mpath), out_dir=tmp_path / "strict")
+    assert report.exit_code == 1
+    assert (tmp_path / "strict" / "s.csv").read_text().splitlines()[1].endswith(",false")
+    report = run(load_manifest(mpath), out_dir=tmp_path / "api", tol_override=1e-9)
+    assert report.exit_code == 0
+    assert (tmp_path / "api" / "s.csv").read_text().splitlines()[1].endswith(",true")
+    assert main(["run", str(mpath), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]) == 0
+    assert (tmp_path / "flag" / "s.csv").read_bytes() == \
+        (tmp_path / "api" / "s.csv").read_bytes()
 
 
 def test_run_domain_error_is_scenario_error(tmp_path):

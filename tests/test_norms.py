@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alexnorm.cli import serialize_gap_reports
 from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable
 from alexnorm.norms import (DecaySpec, SmoothBump, alexiewicz_norm,
                             alexiewicz_norm_halfline, gap_sweep,
                             hk_not_l1_witness, one_norm, osc_lower_bound_check,
-                            primitive_gap_l1, primitive_gap_norm,
-                            serialize_gap_reports, sinc_integrand,
+                            primitive_gap_l1, primitive_gap_norm, sinc_integrand,
                             slow_decay_construct, sweep_converged, translate,
                             translation_gap, verify_slow_decay)
 from alexnorm.realfn import Integrand, PiecewiseLinearPrimitive

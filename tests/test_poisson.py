@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from alexnorm.cli import serialize_poisson_reports
 from alexnorm.errors import KernelSingularity, NonIntegrableProduct
 from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               PeriodicIntegrand, disc_boundary_convergence,
                               disc_kernel, disc_kernel_mass,
                               halfplane_kernel, halfplane_kernel_mass,
                               halfplane_weighted_convergence, kernel_bv_audit,
-                              kernel_pair, poisson_disc, poisson_halfplane,
-                              serialize_poisson_reports)
+                              kernel_pair, poisson_disc, poisson_halfplane)
 from alexnorm.registry import get_function, get_weight, indicator
 
 ONE = lambda y: np.ones_like(np.asarray(y, dtype=float))
