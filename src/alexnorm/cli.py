@@ -127,6 +127,14 @@ def _parse_spec(spec, where: str, build):
         raise SpecParseError(f"{where}: {exc}") from exc
 
 
+def _number(value, where: str, convert):
+    """convert(value); a non-numeric value is a SpecParseError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecParseError(f"{where}: expected a number, got {value!r}") from exc
+
+
 def _bare_constant(spec):
     c = float(spec.get("value", 1.0))
     return lambda y: np.full_like(np.asarray(y, dtype=float), c)
@@ -178,12 +186,18 @@ def parse_manifest(data: dict) -> RunManifest:
             raise SpecParseError(f"{where}.kind: unknown kind {kind!r}")
         name = sc.get("name") or f"scenario_{i}"
         thresholds = sc.get("thresholds", {}) or {}
-        tol = float(thresholds.get("tol", 1e-9))
+        if not isinstance(thresholds, dict):
+            raise SpecParseError(f"{where}.thresholds: expected an object")
+        tol = _number(thresholds.get("tol", 1e-9), f"{where}.thresholds.tol", float)
         if tol <= 0:
             raise SpecParseError(f"{where}.thresholds.tol: must be positive")
         final_gap = thresholds.get("final_gap")
-        final_gap = None if final_gap is None else float(final_gap)
-        ladder = [float(t) for t in sc.get("ladder", [])]
+        if final_gap is not None:
+            final_gap = _number(final_gap, f"{where}.thresholds.final_gap", float)
+        ladder = sc.get("ladder", [])
+        if not isinstance(ladder, list):
+            raise SpecParseError(f"{where}.ladder: expected a list")
+        ladder = [_number(t, f"{where}.ladder", float) for t in ladder]
         needs_ladder = kind in ("gap_sweep", "osc_bound", "primitive_gap",
                                 "weighted_sweep", "poisson_disc", "poisson_halfplane",
                                 "weight_audit")
@@ -223,11 +237,17 @@ def parse_manifest(data: dict) -> RunManifest:
             if not isinstance(fam, str) or fam not in _LEMMA_FAMILIES:
                 raise SpecParseError(f"{where}.family: unknown family {fam!r}")
             family = _LEMMA_FAMILIES[fam]
+            ns = params.setdefault("ns", [1, 2, 4, 8])
+            if (not isinstance(ns, list) or not ns
+                    or not all(type(n) is int and n > 0 for n in ns)):
+                raise SpecParseError(f"{where}.ns: expected a nonempty list of "
+                                     "positive integers")
         scenarios.append(Scenario(
             name=name, kind=kind, function=function, weight=weight, psi=psi,
             family=family, ladder=ladder, tol=tol, final_gap=final_gap,
             output_path=sc.get("output_path", f"{name}.csv"), params=params))
-    return RunManifest(scenarios=scenarios, seed=int(data.get("seed", 0)),
+    return RunManifest(scenarios=scenarios,
+                       seed=_number(data.get("seed", 0), "manifest.seed", int),
                        versions=str(data.get("versions", "")),
                        timestamp=str(data.get("timestamp", "")))
 
@@ -410,7 +430,7 @@ def _run_weighted_sweep(sc: Scenario, seed: int):
 
 
 def _run_lemma_check(sc: Scenario, seed: int):
-    ns = [int(n) for n in sc.params.get("ns", [1, 2, 4, 8])]
+    ns = sc.params["ns"]
     M = float(sc.params.get("M", 8.0))
     expect = sc.params.get("expect", "witnessed")
     E, member, g_limit = sc.family

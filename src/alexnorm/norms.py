@@ -77,7 +77,7 @@ def translate(f: Integrand, x: float) -> Integrand:
     return Integrand(f.primitive.shifted(x), shifted_pt, f.label)
 
 
-def _difference_extrema(F: Primitive, x: float, levels: int = 17):
+def _difference_extrema(F: Primitive, x: float):
     """(min, max) over the extended line of H(y) = F(y-x) - F(y).
 
     Both limits of H vanish, so 0 always joins the candidate set.  Exact for
@@ -92,12 +92,11 @@ def _difference_extrema(F: Primitive, x: float, levels: int = 17):
     lo, hi = F.support_window()
     window = (min(lo, lo + x) - abs(x), max(hi, hi + x) + abs(x))
     ev = lambda y: F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float))
-    seeds: tuple = ()
     bp = F.breakpoints()
-    if bp is not None:
-        seeds = tuple(np.union1d(bp, bp + x))
-        levels = min(levels, 14)
-    return grid_extrema(ev, window, levels=levels, seeds=seeds, include=(0.0,))
+    if len(bp):
+        return grid_extrema(ev, window, levels=14, seeds=tuple(np.union1d(bp, bp + x)),
+                            include=(0.0,))
+    return grid_extrema(ev, window, levels=17, include=(0.0,))
 
 
 def translation_gap(f: Integrand, x: float) -> float:
@@ -350,22 +349,19 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     if isinstance(F, (PiecewiseLinearPrimitive, PiecewiseChebyshevPrimitive)):
         bp = F.breakpoints()
         nodes = np.union1d(bp, bp + x)
-        cand = list(nodes)
         # W' = F(a) - F(a-x); between merged nodes both terms are smooth, so
         # bracket interior critical points from sign changes on a fill grid
         fill = np.linspace(nodes[0], nodes[-1], 4097)
         all_pts = np.union1d(nodes, fill)
         d = F.eval(all_pts) - F.eval(all_pts - x)
         flips = np.nonzero(np.diff(np.signbit(d)))[0]
-        for i in flips:
-            l, r = all_pts[i], all_pts[i + 1]
-            dl, dr = d[i], d[i + 1]
-            if dl == dr:
-                cand.append(0.5 * (l + r))
-            else:
-                cand.append(l + dl * (r - l) / (dl - dr))
-        cand = np.asarray(cand, dtype=float)
-        W = np.asarray([F.window_integral(a - x, a) for a in cand])
+        l, r = all_pts[flips], all_pts[flips + 1]
+        dl, dr = d[flips], d[flips + 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # dl == dr only for a +0/-0 pair, whose bracket midpoint is taken
+            roots = np.where(dl == dr, 0.5 * (l + r), l + dl * (r - l) / (dl - dr))
+        cand = np.concatenate([nodes, roots])
+        W = F.window_integral(cand - x, cand)
         mn = min(float(W.min()), lim_lo, lim_hi)
         mx = max(float(W.max()), lim_lo, lim_hi)
         return mx - mn

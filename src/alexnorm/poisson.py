@@ -134,8 +134,7 @@ def disc_boundary_convergence(f: PeriodicIntegrand,
     """||u_r - f|| over one period along a radius ladder; the error primitives
     are built to 1e-8 from u_r evaluated to 1e-10."""
     build_tol = 1e-8
-    bp = f.base.primitive.breakpoints()
-    hints = () if bp is None else tuple(bp)
+    hints = tuple(f.base.primitive.breakpoints())
     reports = []
     for r in rs:
         def err(phi, r=r):
@@ -284,17 +283,11 @@ class HalfPlaneOperator:
             offs.append(d)
             d *= 2.0
         pts = [z.x + o for o in offs] + [z.x - o for o in offs[1:]] + [TL, TR]
-        wb = self.w.breakpoints()
-        if wb is not None:
-            pts.extend(wb)
-        fbp = None
+        pts.extend(self.w.breakpoints())
+        if len(self.G.breakpoints()) <= 64:
+            pts.extend(self.G.breakpoints())
         if isinstance(self.f, Integrand):
-            fbp = self.f.primitive.breakpoints()
-        gbp = self.G.breakpoints()
-        if gbp is not None and len(gbp) <= 64:
-            pts.extend(gbp)
-        if fbp is not None:
-            pts.extend(fbp)
+            pts.extend(self.f.primitive.breakpoints())
         pts = np.asarray(pts, dtype=float)
         pts = np.unique(pts[(pts >= TL) & (pts <= TR)])
         return pts
@@ -316,10 +309,7 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
     I = _as_interval(I)
     op = HalfPlaneOperator(f, w)
     fp = _resolve_pointwise(f)
-    bp = None
-    if isinstance(f, Integrand):
-        bp = f.primitive.breakpoints()
-    hints = () if bp is None else tuple(bp)
+    hints = tuple(f.primitive.breakpoints()) if isinstance(f, Integrand) else ()
 
     def gamma(s: float) -> float:
         if s == 0.0:
@@ -365,7 +355,7 @@ def kernel_bv_audit(w: Weight, z: HalfPlanePoint, window,
     window = _as_interval(window)
     kp = kernel_pair(w, z)
     inv = lambda t: 1.0 / kp.Psi(t)
-    seeds = () if w.breakpoints() is None else tuple(w.breakpoints())
+    seeds = tuple(w.breakpoints())
     v1 = variation(kp.Psi, window, levels, extra_points=seeds)
     v1b = variation(kp.Psi, window, levels + 1, extra_points=seeds)
     v2 = variation(inv, window, levels, extra_points=seeds)

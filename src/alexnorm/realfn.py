@@ -22,6 +22,7 @@ order.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -149,9 +150,10 @@ class Primitive:
     def __call__(self, x):
         return self.eval(x)
 
-    def breakpoints(self) -> Optional[np.ndarray]:
-        """Node set for table representations, None for closed forms."""
-        return None
+    def breakpoints(self) -> np.ndarray:
+        """Node set of a table or panel representation; a closed form has no
+        nodes and returns an empty array."""
+        return np.empty(0)
 
     def support_window(self) -> tuple:
         """Finite window outside which F is (at least numerically) constant."""
@@ -167,9 +169,24 @@ class Primitive:
         """(min, max) of F over the extended real line, limits included."""
         raise NotImplementedError
 
-    def window_integral(self, u: float, v: float) -> float:
-        """Integral of F itself over the finite interval [u, v]."""
+    def _antideriv_at(self, t) -> np.ndarray:
         raise NotImplementedError
+
+    def window_integral(self, u, v):
+        """Integral of F itself over the finite windows [u, v], elementwise
+        for arrays u and v of one shape; a scalar pair gives a float.  Beyond
+        the nodes F is taken at its declared limits.  Tables and Chebyshev
+        panels only: a closed form raises NotImplementedError."""
+        out = self._antideriv_at(v) - self._antideriv_at(u)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _extend_antideriv(self, t: np.ndarray, inside, total: float) -> np.ndarray:
+        """An antiderivative S of F from its values inside the support window
+        [a, b], with S(a) = 0 and S(b) = total; F is taken at its limits
+        outside, so S is linear there."""
+        a, b = self.support_window()
+        return np.where(t <= a, (t - a) * self.limit_neg,
+                        np.where(t >= b, total + (t - b) * self.limit_pos, inside))
 
     def pointwise_derived(self) -> Optional[Evaluator]:
         """Derivative evaluator recovered from the representation, if exact."""
@@ -229,26 +246,18 @@ class PiecewiseLinearPrimitive(Primitive):
     def extrema(self):
         return (float(self.ys.min()), float(self.ys.max()))
 
-    def _cumulative(self):
-        # node antiderivative of F; exact because F is linear on each piece
+    def _antideriv_at(self, t):
         if self._cum is None:
+            # node antiderivative of F; exact because F is linear on each piece
             seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
             self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        return self._cum
-
-    def _antideriv_at(self, t: float) -> float:
-        cum = self._cumulative()
-        if t <= self.xs[0]:
-            return float((t - self.xs[0]) * self.ys[0])
-        if t >= self.xs[-1]:
-            return float(cum[-1] + (t - self.xs[-1]) * self.ys[-1])
-        i = int(np.searchsorted(self.xs, t, side="right") - 1)
-        dt = t - self.xs[i]
-        slope = (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-        return float(cum[i] + self.ys[i] * dt + 0.5 * slope * dt * dt)
-
-    def window_integral(self, u: float, v: float) -> float:
-        return self._antideriv_at(v) - self._antideriv_at(u)
+        t = np.asarray(t, dtype=float)
+        xs, ys, cum = self.xs, self.ys, self._cum
+        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+        dt = t - xs[i]
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        return self._extend_antideriv(t, cum[i] + ys[i] * dt + 0.5 * slope * dt * dt,
+                                      cum[-1])
 
     def pointwise_derived(self):
         slopes = np.diff(self.ys) / np.diff(self.xs)
@@ -314,36 +323,30 @@ class PiecewiseChebyshevPrimitive(Primitive):
         self._extrema_cache = {}
         self._SF = None
 
-    def _local(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        a = self.edges[idx]
-        b = self.edges[idx + 1]
-        return np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
-
     def _eval_coef(self, x, coef_rows, below: float, above: float,
                    at_neg: float, at_pos: float):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.empty_like(x)
-        neg = np.isneginf(x)
-        pos = np.isposinf(x)
-        out[neg] = at_neg
-        out[pos] = at_pos
-        lo_mask = (x <= self.edges[0]) & ~neg
-        hi_mask = (x >= self.edges[-1]) & ~pos
+        lo_mask = x <= self.edges[0]
+        hi_mask = x >= self.edges[-1]
         out[lo_mask] = below
         out[hi_mask] = above
-        mid = ~(lo_mask | hi_mask | neg | pos)
+        mid = ~(lo_mask | hi_mask)  # NaN lands here and stays NaN
         if mid.any():
             xm = x[mid]
             idx = np.clip(np.searchsorted(self.edges, xm, side="right") - 1,
                           0, len(self.edges) - 2)
-            xi = self._local(xm, idx)
+            a, b = self.edges[idx], self.edges[idx + 1]
+            xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
             vals = np.empty_like(xm)
             for i in np.unique(idx):
                 m = idx == i
                 vals[m] = _cheb.chebval(xi[m], coef_rows[i])
             out[mid] = vals
+        out[np.isneginf(x)] = at_neg
+        out[np.isposinf(x)] = at_pos
         return float(out[0]) if scalar else out
 
     def eval(self, x):
@@ -368,16 +371,8 @@ class PiecewiseChebyshevPrimitive(Primitive):
     def shifted(self, dx: float):
         if dx == 0.0:
             return self
-        out = PiecewiseChebyshevPrimitive.__new__(PiecewiseChebyshevPrimitive)
+        out = copy.copy(self)  # shares _extrema_cache: extrema are shift invariant
         out.edges = self.edges + dx
-        out.fc = self.fc
-        out.Fc = self.Fc
-        out.F_edges = self.F_edges
-        out.limit_neg = self.limit_neg
-        out.limit_pos = self.limit_pos
-        out.label = self.label
-        out.tail_estimated = self.tail_estimated
-        out._extrema_cache = self._extrema_cache  # extrema are shift invariant
         out._SF = None
         return out
 
@@ -424,24 +419,13 @@ class PiecewiseChebyshevPrimitive(Primitive):
             self._extrema_cache[key] = total
         return self._extrema_cache[key]
 
-    def _antideriv(self):
+    def _antideriv_at(self, t):
         if self._SF is None:
             self._SF = _chained_antiderivative(self.edges, self.Fc, 0.0)
-        return self._SF
-
-    def _antideriv_at(self, t: float) -> float:
-        SFc, SF_edges = self._antideriv()
-        if t <= self.edges[0]:
-            return float((t - self.edges[0]) * self.limit_neg)
-        if t >= self.edges[-1]:
-            return float(SF_edges[-1] + (t - self.edges[-1]) * self.limit_pos)
-        i = int(np.clip(np.searchsorted(self.edges, t, side="right") - 1,
-                        0, len(self.edges) - 2))
-        xi = self._local(np.asarray([t]), np.asarray([i]))[0]
-        return float(_cheb.chebval(xi, SFc[i]))
-
-    def window_integral(self, u: float, v: float) -> float:
-        return self._antideriv_at(v) - self._antideriv_at(u)
+        SFc, SF_edges = self._SF
+        t = np.asarray(t, dtype=float)
+        return self._extend_antideriv(t, self._eval_coef(t, SFc, 0.0, 0.0, 0.0, 0.0),
+                                      SF_edges[-1])
 
     def equals(self, other):
         return (
@@ -493,10 +477,8 @@ class ClosedFormPrimitive(Primitive):
     def shifted(self, dx: float):
         if dx == 0.0:
             return self
-        out = ClosedFormPrimitive(self.func, self.limit_neg, self.limit_pos,
-                                  self.scan, self.support, self.label)
+        out = copy.copy(self)  # shares _extrema_cache: extrema are shift invariant
         out.shift = self.shift + dx
-        out._extrema_cache = self._extrema_cache  # extrema are shift invariant
         return out
 
     def scaled(self, c: float):
@@ -509,14 +491,12 @@ class ClosedFormPrimitive(Primitive):
                                    (self.support[0] + sh, self.support[1] + sh),
                                    self.label)
 
-    def extrema(self, levels: int = 17):
-        key = levels
+    def extrema(self):
+        key = "ext"
         if key not in self._extrema_cache:
-            lo, hi = grid_extrema(
-                lambda y: _call_vec(self.func, y),
-                self.scan, levels=levels,
+            self._extrema_cache[key] = grid_extrema(
+                lambda y: _call_vec(self.func, y), self.scan, levels=17,
                 include=(self.limit_neg, self.limit_pos))
-            self._extrema_cache[key] = (lo, hi)
         return self._extrema_cache[key]
 
     def equals(self, other):
@@ -586,9 +566,7 @@ def _resolve_samplable(h, I: Interval):
         a, b = min(a, b), max(a, b)
         if a == b:
             b = a + 1.0
-        bp = h.breakpoints()
-        seeds = () if bp is None else bp
-        return ev, Interval(a, b), seeds
+        return ev, Interval(a, b), h.breakpoints()
     if not I.finite:
         raise ValueError("an unbounded interval needs a Primitive operand")
     return (lambda y: _call_vec(h, y)), I, ()

@@ -101,13 +101,14 @@ class Weight:
         y = np.asarray(y, dtype=float)
         return (self(y + h) - self(y - h)) / (2.0 * h)
 
-    def breakpoints(self) -> Optional[np.ndarray]:
-        return None if self._table is None else self._table[0]
+    def breakpoints(self) -> np.ndarray:
+        """Jump locations of a table weight; empty for every other weight."""
+        return np.empty(0) if self._table is None else self._table[0]
 
     def ratio_seeds(self, x: float, I: Interval) -> tuple:
         """Jump locations of g_x inside I, for table weights."""
         bp = self.breakpoints()
-        if bp is None or not len(bp):
+        if not len(bp):
             return ()
         pts = np.union1d(bp, bp - x)
         return tuple(pts[(pts >= I.a) & (pts <= I.b)])
@@ -115,7 +116,7 @@ class Weight:
     # -- cached estimates ---------------------------------------------------
 
     def bounds_on(self, I, grid: int = 4096) -> tuple:
-        """(m, M, stability_delta) from midpoint cells at grid and 2*grid."""
+        """(m, M) from midpoint cells at grid and 2*grid."""
         I = _as_interval(I)
         key = (I.a, I.b, grid)
         if key not in self._bounds_cache:
@@ -123,18 +124,15 @@ class Weight:
             vals2 = self(_midpoints(I, 2 * grid))
             m = float(min(vals1.min(), vals2.min()))
             M = float(max(vals1.max(), vals2.max()))
-            delta = max(abs(float(vals1.min()) - float(vals2.min())),
-                        abs(float(vals1.max()) - float(vals2.max())))
-            self._bounds_cache[key] = (m, M, delta)
+            self._bounds_cache[key] = (m, M)
         return self._bounds_cache[key]
 
     def variation_on(self, I, levels: int = 12) -> float:
         I = _as_interval(I)
         key = (I.a, I.b, levels)
         if key not in self._var_cache:
-            seeds = () if self._table is None else tuple(self._table[0])
             self._var_cache[key] = variation(lambda y: self(y), I, levels,
-                                             extra_points=seeds)
+                                             extra_points=tuple(self.breakpoints()))
         return self._var_cache[key]
 
 
@@ -303,7 +301,7 @@ def sufficient_conditions_check(w: Weight, I, grid: int = 4096,
     I = _as_interval(I)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    m, M, _ = w.bounds_on(I, grid)
+    m, M = w.bounds_on(I, grid)
     if m <= 0:
         raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
     bv = w.variation_on(I, levels)
@@ -341,10 +339,10 @@ def variation_bound_check(w: Weight, x: float, I, levels: int = 12,
     I = _as_interval(I)
     g = weight_ratio(w, x)
     lhs = g.variation_on(I, levels)
-    m, M0, _ = w.bounds_on(I, grid)
+    m, M0 = w.bounds_on(I, grid)
     if m <= 0:
         raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
-    _, M1, _ = w.bounds_on(I.shifted(x), grid)
+    _, M1 = w.bounds_on(I.shifted(x), grid)
     M = max(M0, M1)
     rhs = w.variation_on(I.shifted(x), levels) / m + M * w.variation_on(I, levels) / (m * m)
     return VariationBoundReport(x=x, lhs=lhs, rhs=rhs, m_I=m, M_used=M,
@@ -394,17 +392,14 @@ def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
     by x.  The jumps of w and of w(. + x), and the table nodes of f, are
     panel hints; a table f confines the support, and a closed-form f widens
     the core window to its own."""
-    hints = []
     wb = w.breakpoints()
-    if wb is not None:
-        hints.extend(wb)
-        hints.extend(wb - x)
+    hints = list(wb) + list(wb - x)
     support = Interval(-math.inf, math.inf)
     core = core_halfwidth
     if isinstance(f, Integrand):
         lo, hi = f.primitive.support_window()
         bp = f.primitive.breakpoints()
-        if bp is not None:
+        if len(bp):
             hints.extend(bp)
             support = Interval(lo, hi)  # f vanishes outside its table
         else:
@@ -464,10 +459,8 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tup
     hi = max(ghi, chi) + abs(x) + 1.0
     seeds: list = []
     for P in (G, C):
-        bp = P.breakpoints()
-        if bp is not None:
-            seeds.extend(bp)
-            seeds.extend(bp + x)
+        seeds.extend(P.breakpoints())
+        seeds.extend(P.breakpoints() + x)
     mn, mx = grid_extrema(D, (lo, hi), levels=15, seeds=seeds,
                           include=(0.0, C.limit_pos))
     gap = mx - mn

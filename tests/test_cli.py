@@ -97,10 +97,28 @@ def test_parse_constant_function_only_in_weighted_kinds():
     ({"kind": "weight_audit", "ladder": [0.5],
       "weight_spec": {"kind": "builtin", "name": "exponential"},
       "closed_form_check": {"xs": [0.5]}}, r"scenarios\[0\]\.closed_form_check"),
-], ids=["kind", "psi", "family", "closed_form_check"])
+    ({"thresholds": 5}, r"scenarios\[0\]\.thresholds"),
+    ({"thresholds": {"tol": "x"}}, r"scenarios\[0\]\.thresholds\.tol"),
+    ({"thresholds": {"final_gap": "abc"}}, r"scenarios\[0\]\.thresholds\.final_gap"),
+    ({"kind": "gap_sweep", "ladder": 5}, r"scenarios\[0\]\.ladder"),
+    ({"kind": "gap_sweep", "ladder": ["a"]}, r"scenarios\[0\]\.ladder"),
+    ({"kind": "lemma_check", "ns": []}, r"scenarios\[0\]\.ns"),
+    ({"kind": "lemma_check", "ns": [1, 0]}, r"scenarios\[0\]\.ns"),
+    ({"kind": "lemma_check", "ns": [1, "a"]}, r"scenarios\[0\]\.ns"),
+], ids=["kind", "psi", "family", "closed_form_check", "thresholds_not_object",
+        "tol_not_number", "final_gap_not_number", "ladder_not_list",
+        "ladder_entry_not_number", "ns_empty", "ns_zero", "ns_not_integer"])
 def test_parse_rejects_field_before_running(fields, where):
     with pytest.raises(SpecParseError, match=where):
         parse_manifest(_scenario(**fields))
+
+
+@pytest.mark.parametrize("seed", ["abc", [1], float("inf")])
+def test_parse_rejects_manifest_seed(seed):
+    manifest = _scenario()
+    manifest["seed"] = seed
+    with pytest.raises(SpecParseError, match=r"manifest\.seed"):
+        parse_manifest(manifest)
 
 
 # -- runner ------------------------------------------------------------------

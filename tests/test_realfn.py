@@ -90,6 +90,71 @@ def test_pointwise_matches_primitive_derivative():
         assert np.allclose(fd, pt(ys), atol=1e-5)
 
 
+@pytest.fixture(scope="module")
+def window_primitives():
+    # a table, a finite-support Chebyshev primitive, and a tail-estimated one
+    # whose declared limits differ from its edge values by the tail masses
+    return {
+        "table": PiecewiseLinearPrimitive([0.0, 1.0, 2.5, 4.0], [0.5, 2.0, -1.0, 1.5]),
+        "cheb": build_primitive_from_pointwise(
+            lambda y: np.cos(3.0 * np.asarray(y, dtype=float)), (0.0, 4.0), 1e-12),
+        "tail": build_primitive_from_pointwise(
+            lambda y: np.exp(-np.abs(np.asarray(y, dtype=float))), (-INF, INF), 1e-11,
+            core_halfwidth=6.0),
+    }
+
+
+def _quadrature_of_F(F, u, v):
+    # composite 12-point Gauss-Legendre between the nodes of F, which is a
+    # polynomial of degree <= 17 on each piece; beyond the nodes the
+    # integrand is the declared limit
+    nodes = F.breakpoints()
+    cuts = np.unique(np.concatenate([[u, v], nodes[(nodes > u) & (nodes < v)]]))
+    x, w = np.polynomial.legendre.leggauss(12)
+    total = 0.0
+    for l, r in zip(cuts[:-1], cuts[1:]):
+        ys = 0.5 * (l + r) + 0.5 * (r - l) * x
+        vals = np.where(ys < nodes[0], F.limit_neg,
+                        np.where(ys > nodes[-1], F.limit_pos, F.eval(ys)))
+        total += 0.5 * (r - l) * float(np.dot(w, vals))
+    return total
+
+
+@pytest.mark.parametrize("name", ["table", "cheb", "tail"])
+def test_window_integral_takes_arrays(window_primitives, name):
+    F = window_primitives[name]
+    a, b = F.support_window()
+    # inside; across the left edge; across the right edge; wholly left;
+    # wholly right; across the whole support
+    u = np.asarray([a + 0.3, a - 1.0, b - 0.7, a - 3.0, b + 0.5, a - 0.5])
+    v = np.asarray([b - 0.4, a + 0.6, b + 1.5, a - 1.0, b + 2.0, b + 0.5])
+    W = F.window_integral(u, v)
+    assert W.shape == u.shape
+    scalars = [F.window_integral(float(p), float(q)) for p, q in zip(u, v)]
+    assert all(isinstance(s, float) for s in scalars)
+    assert np.array_equal(W, scalars)
+    for p, q, got in zip(u, v, W):
+        assert got == pytest.approx(_quadrature_of_F(F, p, q), abs=1e-12)
+
+
+def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
+    P = window_primitives["tail"]
+    a, b = P.support_window()
+    assert P.tail_estimated
+    assert P.limit_neg != P.F_edges[0] and P.limit_pos != P.F_edges[-1]
+    xs = [-INF, a - 1.0, 0.0, b + 1.0, INF, float("nan")]
+    arr = P.eval(np.asarray(xs))
+    assert np.array_equal(arr, [P.eval(x) for x in xs], equal_nan=True)
+    # declared limits at +-inf, edge values at finite points beyond the panels
+    assert arr[0] == P.limit_neg == 0.0
+    assert arr[1] == P.F_edges[0]
+    assert arr[3] == P.F_edges[-1]
+    assert arr[4] == P.limit_pos
+    # F(0) is the mass of e^{-|y|} left of 0
+    assert arr[2] == pytest.approx(1.0, abs=1e-10)
+    assert math.isnan(arr[5])
+
+
 # -- integral ---------------------------------------------------------------
 
 

@@ -292,3 +292,11 @@ def test_weight_caches_are_stable(rq):
     v1 = rq.variation_on((-5.0, 5.0), 10)
     v2 = rq.variation_on((-5.0, 5.0), 10)
     assert v1 == v2
+
+
+def test_breakpoints_empty_without_nodes(rq):
+    # "no nodes" is an empty float array for primitives and weights alike
+    for owner in (get_function("gaussian").primitive, rq, Weight.constant(2.0)):
+        bp = owner.breakpoints()
+        assert isinstance(bp, np.ndarray)
+        assert bp.dtype == float and bp.shape == (0,)
