@@ -575,18 +575,24 @@ def run(manifest: RunManifest, out_dir=None, jobs: int = 1,
         "scenarios": entries,
     }
     (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, default=_json_scalar) + "\n")
+        json.dumps(_json_value(summary), indent=2, allow_nan=False) + "\n")
     return RunReport(0 if all_ok else 1, summary)
 
 
-def _json_scalar(v):
-    if isinstance(v, (np.bool_,)):
+def _json_value(v):
+    """v with numpy scalars as Python ones and every non-finite float as
+    None, so summary.json is strict JSON (null, never NaN or Infinity)."""
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, np.bool_):
         return bool(v)
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    raise TypeError(f"not JSON serializable: {type(v).__name__}")
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
+    return v
 
 
 # ---------------------------------------------------------------------------

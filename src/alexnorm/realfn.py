@@ -327,6 +327,21 @@ class PiecewiseChebyshevPrimitive(Primitive):
                    at_neg: float, at_pos: float):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
+        if x.size == 1:
+            # one point (minimize_scalar, scalar eval): the same float
+            # operations as below without the masks
+            t = float(x.reshape(()))
+            if t <= self.edges[0]:
+                v = at_neg if t == -math.inf else below
+            elif t >= self.edges[-1]:
+                v = at_pos if t == math.inf else above
+            else:  # NaN lands here and stays NaN
+                i = min(int(np.searchsorted(self.edges, t, side="right")) - 1,
+                        len(self.edges) - 2)
+                a, b = self.edges[i], self.edges[i + 1]
+                xi = np.clip((2.0 * x.reshape(1) - a - b) / (b - a), -1.0, 1.0)
+                v = _cheb.chebval(xi, coef_rows[i])[0]
+            return float(v) if scalar else np.full(x.shape, v)
         x = np.atleast_1d(x)
         out = np.empty_like(x)
         lo_mask = x <= self.edges[0]

@@ -436,15 +436,22 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
     fp = _resolve_pointwise(f)
     reports = []
     for x in sorted(xs, key=lambda t: (-abs(t), t)):
-        gap, bound = _weighted_gap_single(f, fp, w, G, x, build_tol)
+        if x == 0.0:
+            gap = bound = 0.0
+        else:
+            # triangle bound: the G difference term twice plus the spread of C_x
+            gap, C = _weighted_gap_single(f, fp, w, G, x, build_tol)
+            dmn, dmx = _difference_extrema(G, x)
+            c_lo, c_hi = C.extrema()
+            bound = 2.0 * max(abs(dmn), abs(dmx)) + (c_hi - c_lo)
         reports.append(GapReport(x=x, gap=gap, bound_upper=bound,
                                  passed=gap <= bound + tol))
     return reports
 
 
 def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tuple:
-    if x == 0.0:
-        return 0.0, 0.0
+    """(gap, C_x) for a shift x != 0: the oscillation of D and the ratio
+    correction primitive it was built from."""
     corr = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * (
         w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float)))
     C = _weighted_primitive(corr, f, w, build_tol, 64.0, x=x)
@@ -463,11 +470,7 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tup
         seeds.extend(P.breakpoints() + x)
     mn, mx = grid_extrema(D, (lo, hi), levels=15, seeds=seeds,
                           include=(0.0, C.limit_pos))
-    gap = mx - mn
-    dmn, dmx = _difference_extrema(G, x)
-    c_lo, c_hi = C.extrema()
-    bound = 2.0 * max(abs(dmn), abs(dmx)) + (c_hi - c_lo)
-    return gap, bound
+    return mx - mn, C
 
 
 # ---------------------------------------------------------------------------

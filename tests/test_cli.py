@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import alexnorm
+from alexnorm import cli
 from alexnorm.cli import load_manifest, main, parse_manifest, run
 from alexnorm.errors import SpecParseError
 from alexnorm.registry import describe, function_from_spec, registry_list
@@ -219,6 +221,23 @@ def test_tol_override_decides_the_verdict(tmp_path):
     assert main(["run", str(mpath), "--out", str(tmp_path / "flag"), "--tol", "1e-9"]) == 0
     assert (tmp_path / "flag" / "s.csv").read_bytes() == \
         (tmp_path / "api" / "s.csv").read_bytes()
+
+
+def test_summary_is_strict_json(tmp_path, monkeypatch):
+    # non-finite headline values are written as null, never NaN or Infinity
+    headline = {"nan": float("nan"), "inf": float("inf"), "ninf": -np.inf,
+                "np_nan": np.float64("nan"), "finite": np.float64(1.5)}
+    monkeypatch.setitem(cli._EXECUTORS, "norm",
+                        lambda sc, seed: (True, dict(headline), "x\n1\n"))
+    run(parse_manifest({"scenarios": MINI["scenarios"][:1]}), out_dir=tmp_path)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=refuse)
+    assert summary["scenarios"][0]["headline"] == {
+        "nan": None, "inf": None, "ninf": None, "np_nan": None, "finite": 1.5}
 
 
 def test_run_domain_error_is_scenario_error(tmp_path):

@@ -11,7 +11,10 @@ from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               halfplane_kernel, halfplane_kernel_mass,
                               halfplane_weighted_convergence, kernel_bv_audit,
                               kernel_pair, poisson_disc, poisson_halfplane)
+from alexnorm.realfn import (Integrand, _call_vec, build_primitive_from_pointwise,
+                             gauss_nodes)
 from alexnorm.registry import get_function, get_weight, indicator
+from alexnorm.weights import Weight, weighted_gap_sweep
 
 ONE = lambda y: np.ones_like(np.asarray(y, dtype=float))
 
@@ -211,6 +214,69 @@ def test_halfplane_harmonicity_spot_check(rq):
         laps.append((u(x0 + h, y0) + u(x0 - h, y0) + u(x0, y0 + h)
                      + u(x0, y0 - h) - 4.0 * u(x0, y0)) / h ** 2)
     assert abs(laps[1]) <= 0.35 * abs(laps[0]) + 1e-7
+
+
+def _value_per_panel(op, z, tol=1e-6):
+    # reference: the half-plane value with one G.eval and one Psi_prime call
+    # per 32-node panel, summed left to right
+    kp = kernel_pair(op.w, z)
+    G = op.G
+    T = max(50.0 * z.y, 50.0)
+    for _ in range(14):
+        TL, TR = z.x - T, z.x + T
+        psiR = float(_call_vec(kp.Psi, np.asarray([TR]))[0])
+        psiL = float(_call_vec(kp.Psi, np.asarray([TL]))[0])
+        dR = abs(kp.psi_lim_pos - psiR)
+        dL = abs(psiL - kp.psi_lim_neg)
+        resid = 2.0 * (abs(op.G_inf - G.eval(TR)) * dR + abs(G.eval(TL)) * dL)
+        if resid <= 0.5 * tol:
+            break
+        T *= 2.0
+    edges = op._panel_edges(z, TL, TR)
+    nodes, wts = gauss_nodes(32)
+    quad = 0.0
+    for i in range(len(edges) - 1):
+        a, b = edges[i], edges[i + 1]
+        mid = 0.5 * (a + b)
+        hw = 0.5 * (b - a)
+        ts = mid + hw * nodes
+        quad += hw * float(np.dot(wts, G.eval(ts) * kp.Psi_prime(ts)))
+    quad += op.G_inf * (kp.psi_lim_pos - psiR)
+    quad += G.eval(TL) * (psiL - kp.psi_lim_neg)
+    return op.G_inf * kp.psi_lim_pos - quad
+
+
+def _cubic():
+    cube = lambda y: np.asarray(y, dtype=float) ** 3
+    F = build_primitive_from_pointwise(cube, (-1.0, 1.5), 1e-12)
+    return Integrand(F, F.pointwise_derived(), "cubic")
+
+
+@pytest.mark.parametrize("pair", ["table_rq", "table_const2", "cheb_rq"])
+def test_halfplane_value_matches_per_panel_reference(rq, pair):
+    f, w = {"table_rq": (get_function("indicator_01"), rq),
+            "table_const2": (get_function("indicator_01"), Weight.constant(2.0)),
+            "cheb_rq": (_cubic(), rq)}[pair]
+    op = HalfPlaneOperator(f, w)
+    # inside, near the boundary, left of the support, and far to the right
+    for x, y in ((0.5, 0.5), (0.2, 1e-3), (-1.0, 2.0), (40.0, 0.5)):
+        z = HalfPlanePoint(x, y)
+        assert op.value(z) == _value_per_panel(op, z), (x, y)
+
+
+def test_majorant_skips_weighted_gap_bound(rq, monkeypatch):
+    # the majorant needs the weighted gaps only, not their triangle bound
+    f = get_function("indicator_01")
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("the triangle bound is not needed here")
+
+    with monkeypatch.context() as m:
+        m.setattr("alexnorm.weights._difference_extrema", no_bound)
+        reports = halfplane_weighted_convergence(f, rq, [1.0], (-4.0, 4.0))
+    assert len(reports) == 1 and reports[0].gap <= reports[0].bound_upper
+    for r in weighted_gap_sweep(f, rq, [0.5, 0.0, -0.25]):
+        assert r.gap <= r.bound_upper
 
 
 # -- kernel/weight pairing -----------------------------------------------------------

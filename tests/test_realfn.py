@@ -155,6 +155,35 @@ def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
     assert math.isnan(arr[5])
 
 
+@pytest.mark.parametrize("name", ["cheb", "tail"])
+def test_cheb_eval_single_point_matches_array_path(window_primitives, name):
+    # one point goes through its own path; it must give the bits the same
+    # point gets inside a larger array, as a float for scalar input and with
+    # its shape kept for a one-element array
+    F = window_primitives[name]
+    e = F.edges
+    assert len(e) > 3
+    pts = np.concatenate([e[:-1] + 0.3 * np.diff(e), e[:-1] + 0.77 * np.diff(e), e[1:-1],
+                          [e[0], e[-1], e[0] - 1.5, e[-1] + 1.5,
+                           -INF, INF, float("nan")]])
+    c = 0.5 * (e[0] + e[1])
+    derived = F.pointwise_derived()
+    with np.errstate(invalid="ignore"):
+        ref_F = F.eval(pts)
+        ref_f = derived(pts)
+        ref_W = F.window_integral(np.full(pts.shape, c), pts)
+    for k, p in enumerate(pts):
+        for x in (float(p), np.asarray(p), np.asarray([p])):
+            with np.errstate(invalid="ignore"):
+                got = (F.eval(x), derived(x), F.window_integral(c, x))
+            for g, ref in zip(got, (ref_F, ref_f, ref_W)):
+                if np.ndim(x) == 0:
+                    assert type(g) is float
+                else:
+                    assert isinstance(g, np.ndarray) and g.shape == (1,)
+                assert np.array_equal(np.ravel(g), ref[k:k + 1], equal_nan=True), (p, x)
+
+
 # -- integral ---------------------------------------------------------------
 
 
