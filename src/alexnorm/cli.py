@@ -37,23 +37,17 @@ from .weights import (Weight, ratio_conditions_check, sufficient_conditions_chec
                       uniform_bound_lemma_check, variation_bound_check,
                       weight_ratio, weighted_gap_sweep)
 
-_KNOWN_KEYS = {"name", "kind", "function_spec", "weight_spec", "ladder",
-               "thresholds", "output_path"}
-
-
 @dataclass
 class Scenario:
     name: str
     kind: str
     function: Optional[Callable] = None   # Integrand, or evaluator of constant data
     weight: Optional[Weight] = None
-    psi: Optional[Callable] = None        # decay target ("decay")
-    family: Optional[tuple] = None        # _LEMMA_FAMILIES entry ("lemma_check")
     ladder: list = field(default_factory=list)
     tol: float = 1e-9
     final_gap: Optional[float] = None
     output_path: str = ""
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)   # the kind's fields, resolved
 
 
 @dataclass
@@ -127,14 +121,6 @@ def _parse_spec(spec, where: str, build):
         raise SpecParseError(f"{where}: {exc}") from exc
 
 
-def _number(value, where: str, convert):
-    """convert(value); a non-numeric value is a SpecParseError naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecParseError(f"{where}: expected a number, got {value!r}") from exc
-
-
 def _bare_constant(spec):
     c = float(spec.get("value", 1.0))
     return lambda y: np.full_like(np.asarray(y, dtype=float), c)
@@ -169,6 +155,87 @@ _LEMMA_FAMILIES = {
 }
 
 
+def _is(test, need: str):
+    """Check of a manifest field: the value as given when test(value) holds,
+    else a SpecParseError saying it must be need."""
+    def check(value, where):
+        try:
+            ok = test(value)
+        except (TypeError, ValueError, LookupError, OverflowError):
+            ok = False
+        if not ok:
+            raise SpecParseError(f"{where}: must be {need}, got {value!r}")
+        return value
+    return check
+
+
+def _num(v) -> bool:
+    """A finite JSON number (true and false are not numbers)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _fields(spec, table: dict, where: str) -> dict:
+    """The fields of table read from spec, each checked; an absent or null
+    field takes its default."""
+    if not isinstance(spec, dict):
+        raise SpecParseError(f"{where}: expected an object")
+    return {name: (default if spec.get(name) is None
+                   else check(spec[name], f"{where}.{name}"))
+            for name, (default, check) in table.items()}
+
+
+_REAL = _is(_num, "a finite number")
+_POSITIVE = _is(lambda v: _num(v) and v > 0, "a positive finite number")
+# numpy's default_rng takes a nonnegative integer seed
+_SEED = _is(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_THRESHOLDS = {"tol": (1e-9, _POSITIVE), "final_gap": (None, _REAL)}
+_LADDER = _is(lambda v: isinstance(v, list) and all(map(_num, v)), "a list of finite numbers")
+_FLAG = _is(lambda v: type(v) is bool, "true or false")
+_INTERVAL = _is(lambda v: len(v) == 2 and _num(v[0]) and _num(v[1]) and v[0] < v[1],
+                "[a, b] with finite a < b")
+_CLOSED_FORM_FIELDS = {
+    "xs": ([0.5, 0.1], _is(lambda v: v and all(map(_num, v)), "a nonempty list of numbers")),
+    "interval": ((-50.0, 50.0), _INTERVAL),
+    # 2^levels + 1 samples per variation
+    "levels": (16, _is(lambda v: type(v) is int and 1 <= v <= 20, "an integer in [1, 20]")),
+    "rel_tol": (0.01, _POSITIVE)}
+
+# kind -> (what it needs, {field: (default, check)}).  "function" needs an
+# integrand, "constant" an integrand or constant boundary data, "weight" a
+# weight spec and "ladder" a nonempty ladder.
+_KINDS = {
+    "norm": ({"function"}, {
+        "expected": (None, _REAL), "check_isometry": (False, _FLAG),
+        "pairs": (100, _is(lambda v: type(v) is int and v >= 1, "a positive integer"))}),
+    "gap_sweep": ({"function", "ladder"}, {}),
+    "decay": (set(), {
+        "psi": (_PSI_REGISTRY["sqrt"],
+                lambda v, where: _parse_spec(v, where, _psi_from_spec)),
+        "n_max": (256, _is(lambda v: type(v) is int and v >= 2, "an integer >= 2"))}),
+    "osc_bound": ({"ladder"}, {"center": (0.0, _REAL), "halfwidth": (1.0, _POSITIVE),
+                               "amplitude": (1.0, _REAL)}),
+    "primitive_gap": ({"function", "ladder"}, {
+        "l1": (True, _FLAG),
+        "witness_shift": (None, _is(lambda v: _num(v) and v != 0, "a nonzero number"))}),
+    "weight_audit": ({"weight", "ladder"}, {
+        "interval": ((-10.0, 10.0), _INTERVAL), "eps": (0.1, _POSITIVE),
+        "closed_form_check": (None, lambda v, where: _fields(v, _CLOSED_FORM_FIELDS, where))}),
+    "weighted_sweep": ({"constant", "weight", "ladder"}, {}),
+    "lemma_check": (set(), {
+        "family": ("damped_sine", _is(lambda v: v in tuple(_LEMMA_FAMILIES),
+                                      " or ".join(_LEMMA_FAMILIES))),
+        "ns": ([1, 2, 4, 8], _is(lambda v: v and all(type(n) is int and n > 0 for n in v),
+                                 "a nonempty list of positive integers")),
+        "M": (8.0, _REAL),
+        "expect": ("witnessed", _is(lambda v: v in ("witnessed", "violated"),
+                                    "witnessed or violated")),
+        "interval": (None, _INTERVAL)}),   # None: the family's own
+    "poisson_disc": ({"function", "ladder"}, {"cos_check": (False, _FLAG)}),
+    "poisson_halfplane": ({"constant", "weight", "ladder"}, {
+        "interval": ((-8.0, 8.0), _INTERVAL), "unit_check": (True, _FLAG)}),
+}
+
+
 def parse_manifest(data: dict) -> RunManifest:
     """Validate a manifest dict; SpecParseError messages name the bad field."""
     if not isinstance(data, dict):
@@ -182,72 +249,44 @@ def parse_manifest(data: dict) -> RunManifest:
         if not isinstance(sc, dict):
             raise SpecParseError(f"{where}: expected an object")
         kind = sc.get("kind")
-        if not isinstance(kind, str) or kind not in _EXECUTORS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise SpecParseError(f"{where}.kind: unknown kind {kind!r}")
+        needs, fields = _KINDS[kind]
         name = sc.get("name") or f"scenario_{i}"
-        thresholds = sc.get("thresholds", {}) or {}
-        if not isinstance(thresholds, dict):
-            raise SpecParseError(f"{where}.thresholds: expected an object")
-        tol = _number(thresholds.get("tol", 1e-9), f"{where}.thresholds.tol", float)
-        if tol <= 0:
-            raise SpecParseError(f"{where}.thresholds.tol: must be positive")
-        final_gap = thresholds.get("final_gap")
-        if final_gap is not None:
-            final_gap = _number(final_gap, f"{where}.thresholds.final_gap", float)
-        ladder = sc.get("ladder", [])
-        if not isinstance(ladder, list):
-            raise SpecParseError(f"{where}.ladder: expected a list")
-        ladder = [_number(t, f"{where}.ladder", float) for t in ladder]
-        needs_ladder = kind in ("gap_sweep", "osc_bound", "primitive_gap",
-                                "weighted_sweep", "poisson_disc", "poisson_halfplane",
-                                "weight_audit")
-        if needs_ladder and not ladder:
+        thresholds = _fields(sc.get("thresholds") or {}, _THRESHOLDS, f"{where}.thresholds")
+        ladder = [float(t) for t in _LADDER(sc.get("ladder", []), f"{where}.ladder")]
+        if "ladder" in needs and not ladder:
             raise SpecParseError(f"{where}.ladder: must be nonempty for kind {kind!r}")
-        params = {k: v for k, v in sc.items() if k not in _KNOWN_KEYS}
-        # resolve every field that selects code now, so a bad one fails
-        # before anything runs
-        function = weight = psi = family = None
+        # resolve every field now, so a bad one fails before anything runs
+        function = weight = None
         fspec = sc.get("function_spec")
         if fspec is not None:
             # constant boundary data is not integrable by itself
             bare = isinstance(fspec, dict) and fspec.get("kind") == "constant"
-            if bare and kind not in ("weighted_sweep", "poisson_halfplane"):
+            if bare and "constant" not in needs:
                 raise SpecParseError(f"{where}.function_spec.kind: constant "
                                      f"boundary data needs a weighted scenario")
             function = _parse_spec(fspec, f"{where}.function_spec",
                                    _bare_constant if bare else registry.function_from_spec)
-        elif kind in ("norm", "gap_sweep", "primitive_gap", "weighted_sweep",
-                      "poisson_disc", "poisson_halfplane"):
+        elif needs & {"function", "constant"}:
             raise SpecParseError(f"{where}.function_spec: required for kind {kind!r}")
         if sc.get("weight_spec") is not None:
             weight = _parse_spec(sc["weight_spec"], f"{where}.weight_spec",
                                  registry.weight_from_spec)
-        elif kind in ("weight_audit", "weighted_sweep", "poisson_halfplane"):
+        elif "weight" in needs:
             raise SpecParseError(f"{where}.weight_spec: required for kind {kind!r}")
-        if (kind == "weight_audit" and params.get("closed_form_check") is not None
+        params = _fields(sc, fields, where)
+        if (params.get("closed_form_check") is not None
                 and weight is not registry.get_weight("reciprocal_quadratic")):
             # the closed form checked against is that weight's ratio variation
             raise SpecParseError(f"{where}.closed_form_check: only for the "
                                  f"reciprocal_quadratic builtin weight")
-        if kind == "decay":
-            psi = _parse_spec(sc.get("psi", {"name": "sqrt"}), f"{where}.psi",
-                              _psi_from_spec)
-        if kind == "lemma_check":
-            fam = sc.get("family", "damped_sine")
-            if not isinstance(fam, str) or fam not in _LEMMA_FAMILIES:
-                raise SpecParseError(f"{where}.family: unknown family {fam!r}")
-            family = _LEMMA_FAMILIES[fam]
-            ns = params.setdefault("ns", [1, 2, 4, 8])
-            if (not isinstance(ns, list) or not ns
-                    or not all(type(n) is int and n > 0 for n in ns)):
-                raise SpecParseError(f"{where}.ns: expected a nonempty list of "
-                                     "positive integers")
         scenarios.append(Scenario(
-            name=name, kind=kind, function=function, weight=weight, psi=psi,
-            family=family, ladder=ladder, tol=tol, final_gap=final_gap,
+            name=name, kind=kind, function=function, weight=weight, ladder=ladder,
+            tol=thresholds["tol"], final_gap=thresholds["final_gap"],
             output_path=sc.get("output_path", f"{name}.csv"), params=params))
     return RunManifest(scenarios=scenarios,
-                       seed=_number(data.get("seed", 0), "manifest.seed", int),
+                       seed=_SEED(data.get("seed", 0), "manifest.seed"),
                        versions=str(data.get("versions", "")),
                        timestamp=str(data.get("timestamp", "")))
 
@@ -277,12 +316,12 @@ def _gap_headline(sc: Scenario, final_gap: float, converged) -> dict:
 def _run_norm(sc: Scenario, seed: int):
     f = sc.function
     val = alexiewicz_norm(f)
-    expected = sc.params.get("expected")
-    ok = expected is None or abs(val - float(expected)) <= sc.tol
+    expected = sc.params["expected"]
+    ok = expected is None or abs(val - expected) <= sc.tol
     rows = [f"{f.label},{_f(val)},{_f(expected)},{_b(ok)}"]
     headline = {"norm": val}
-    if sc.params.get("check_isometry"):
-        pairs = int(sc.params.get("pairs", 100))
+    if sc.params["check_isometry"]:
+        pairs = sc.params["pairs"]
         rng = np.random.default_rng(seed)
         names = [n for n in registry.registry_list()
                  if registry.describe(n)["kind"] == "function"]
@@ -302,16 +341,23 @@ def _run_norm(sc: Scenario, seed: int):
     return ok, headline, _csv("label,norm,expected,passed", rows)
 
 
-def _run_gap_sweep(sc: Scenario, seed: int):
-    reports = gap_sweep(sc.function, sc.ladder, sc.tol)
+def _sweep_result(sc: Scenario, reports):
     headline = _gap_headline(sc, reports[-1].gap, lambda g: sweep_converged(reports, g))
     ok = all(r.passed for r in reports) and headline.get("converged", True)
     return ok, headline, serialize_gap_reports(reports)
 
 
+def _run_gap_sweep(sc: Scenario, seed: int):
+    return _sweep_result(sc, gap_sweep(sc.function, sc.ladder, sc.tol))
+
+
+def _run_weighted_sweep(sc: Scenario, seed: int):
+    return _sweep_result(sc, weighted_gap_sweep(sc.function, sc.weight, sc.ladder, sc.tol))
+
+
 def _run_decay(sc: Scenario, seed: int):
-    n_max = int(sc.params.get("n_max", 256))
-    spec = DecaySpec(sc.psi, n_max)
+    n_max = sc.params["n_max"]
+    spec = DecaySpec(sc.params["psi"], n_max)
     f = slow_decay_construct(spec)
     xs = sc.ladder or [1.0 / n for n in range(2, n_max + 1)]
     reports = verify_slow_decay(f, spec, xs, sc.tol)
@@ -320,9 +366,8 @@ def _run_decay(sc: Scenario, seed: int):
 
 
 def _run_osc_bound(sc: Scenario, seed: int):
-    bump = SmoothBump(center=float(sc.params.get("center", 0.0)),
-                      halfwidth=float(sc.params.get("halfwidth", 1.0)),
-                      amplitude=float(sc.params.get("amplitude", 1.0)))
+    bump = SmoothBump(center=sc.params["center"], halfwidth=sc.params["halfwidth"],
+                      amplitude=sc.params["amplitude"])
     reports = osc_lower_bound_check(bump, sc.ladder, sc.tol)
     return (all(r.passed for r in reports),
             {"osc": bump.osc(), "derivative_sup": bump.derivative_sup()},
@@ -333,7 +378,7 @@ def _run_primitive_gap(sc: Scenario, seed: int):
     f = sc.function
     norm = alexiewicz_norm(f)
     l1_bound = None
-    if sc.params.get("l1", True):
+    if sc.params["l1"]:
         try:
             l1_bound = one_norm(f)
         except NotAbsolutelyIntegrable:
@@ -355,7 +400,7 @@ def _run_primitive_gap(sc: Scenario, seed: int):
         ok = ok and row_ok
         rows.append(",".join([_f(x), _f(g), _f(bound), _f(gl1), _f(bl1), _b(row_ok)]))
     headline = {"norm": norm}
-    shift = sc.params.get("witness_shift")
+    shift = sc.params["witness_shift"]
     if shift is not None:
         wit = hk_not_l1_witness(float(shift))
         headline.update({
@@ -385,10 +430,9 @@ def _reciprocal_quadratic_ratio_variation(x: float, I) -> float:
 
 def _run_weight_audit(sc: Scenario, seed: int):
     w = sc.weight
-    I = tuple(sc.params.get("interval", (-10.0, 10.0)))
-    eps = float(sc.params.get("eps", 0.1))
+    I = sc.params["interval"]
     xs = sc.ladder
-    rc = ratio_conditions_check(w, xs, [I], eps)
+    rc = ratio_conditions_check(w, xs, [I], sc.params["eps"])
     scc = sufficient_conditions_check(w, I)
     rows = [
         f"ratio_uniform_bound,{_f(rc.uniform_bound)},,{_b(rc.bound_stable)}",
@@ -406,35 +450,23 @@ def _run_weight_audit(sc: Scenario, seed: int):
         vb = variation_bound_check(w, x, I)
         ok = ok and vb.passed
         rows.append(f"variation_bound@x={x:g},{_f(vb.lhs)},{_f(vb.rhs)},{_b(vb.passed)}")
-    cf = sc.params.get("closed_form_check")
+    cf = sc.params["closed_form_check"]
     if cf is not None:
-        Icf = tuple(cf.get("interval", (-50.0, 50.0)))
-        levels = int(cf.get("levels", 16))
-        rel = float(cf.get("rel_tol", 0.01))
-        for x in cf.get("xs", [0.5, 0.1]):
-            g = weight_ratio(w, float(x))
-            lhs = g.variation_on(Icf, levels)
-            rhs = _reciprocal_quadratic_ratio_variation(float(x), Icf)
-            row_ok = abs(lhs - rhs) <= rel * rhs
+        Icf = cf["interval"]
+        for x in cf["xs"]:
+            lhs = weight_ratio(w, x).variation_on(Icf, cf["levels"])
+            rhs = _reciprocal_quadratic_ratio_variation(x, Icf)
+            row_ok = abs(lhs - rhs) <= cf["rel_tol"] * rhs
             ok = ok and row_ok
             rows.append(f"variation_closed_form@x={x:g},{_f(lhs)},{_f(rhs)},{_b(row_ok)}")
     headline = {"ratio_passed": rc.passed, "sufficient_passed": scc.passed}
     return ok, headline, _csv("item,lhs,rhs,passed", rows)
 
 
-def _run_weighted_sweep(sc: Scenario, seed: int):
-    reports = weighted_gap_sweep(sc.function, sc.weight, sc.ladder, sc.tol)
-    headline = _gap_headline(sc, reports[-1].gap, lambda g: sweep_converged(reports, g))
-    ok = all(r.passed for r in reports) and headline.get("converged", True)
-    return ok, headline, serialize_gap_reports(reports)
-
-
 def _run_lemma_check(sc: Scenario, seed: int):
-    ns = sc.params["ns"]
-    M = float(sc.params.get("M", 8.0))
-    expect = sc.params.get("expect", "witnessed")
-    E, member, g_limit = sc.family
-    E = tuple(sc.params.get("interval", E))
+    ns, M, expect = sc.params["ns"], sc.params["M"], sc.params["expect"]
+    E, member, g_limit = _LEMMA_FAMILIES[sc.params["family"]]
+    E = sc.params["interval"] or E
     seq = [member(n) for n in ns]
     try:
         rep = uniform_bound_lemma_check(seq, E, g_limit, M)
@@ -449,12 +481,17 @@ def _run_lemma_check(sc: Scenario, seed: int):
             _csv("item,value,bound,passed", rows))
 
 
-def _run_poisson_disc(sc: Scenario, seed: int):
-    reports = disc_boundary_convergence(PeriodicIntegrand(sc.function), sc.ladder)
+def _ladder_result(sc: Scenario, reports):
+    """(ok, headline): gaps nonincreasing within tol, the last below final_gap."""
     gaps = [r.gap for r in reports]
     ok = all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
     headline = _gap_headline(sc, gaps[-1], lambda g: gaps[-1] < g)
-    ok = ok and headline.get("converged", True)
+    return ok and headline.get("converged", True), headline
+
+
+def _run_poisson_disc(sc: Scenario, seed: int):
+    reports = disc_boundary_convergence(PeriodicIntegrand(sc.function), sc.ladder)
+    ok, headline = _ladder_result(sc, reports)
 
     one = PeriodicIntegrand(registry.get_function("one_period"))
     mass_err = 0.0
@@ -467,7 +504,7 @@ def _run_poisson_disc(sc: Scenario, seed: int):
     headline["kernel_mass_max_err"] = mass_err
     headline["unit_extension_max_err"] = unit_err
     ok = ok and mass_err <= 1e-10 and unit_err <= 1e-10
-    if sc.params.get("cos_check"):
+    if sc.params["cos_check"]:
         cosf = PeriodicIntegrand(registry.get_function("cosine"))
         cos_err = max(abs(poisson_disc(cosf, r, 0.0) - r) for r in (0.0, 0.5, 0.9, 0.99))
         headline["cos_extension_max_err"] = cos_err
@@ -477,14 +514,11 @@ def _run_poisson_disc(sc: Scenario, seed: int):
 
 def _run_poisson_halfplane(sc: Scenario, seed: int):
     w = sc.weight
-    I = tuple(sc.params.get("interval", (-8.0, 8.0)))
-    reports = halfplane_weighted_convergence(sc.function, w, sc.ladder, I, tol=sc.tol)
-    gaps = [r.gap for r in reports]
-    ok = all(r.passed for r in reports)
-    ok = ok and all(gaps[i + 1] <= gaps[i] + sc.tol for i in range(len(gaps) - 1))
-    headline = _gap_headline(sc, gaps[-1], lambda g: gaps[-1] < g)
-    ok = ok and headline.get("converged", True)
-    if sc.params.get("unit_check", True):
+    reports = halfplane_weighted_convergence(sc.function, w, sc.ladder,
+                                             sc.params["interval"], tol=sc.tol)
+    ok, headline = _ladder_result(sc, reports)
+    ok = all(r.passed for r in reports) and ok
+    if sc.params["unit_check"]:
         onef = lambda y: np.ones_like(np.asarray(y, dtype=float))
         unit_err = max(abs(poisson_halfplane(onef, w, HalfPlanePoint(0.3, y)) - 1.0)
                        for y in (0.1, 1.0))

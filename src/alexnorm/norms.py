@@ -38,12 +38,11 @@ class GapReport:
     passed: bool = True
 
 
-def sweep_converged(reports: Sequence[GapReport], final_gap: float,
-                    slack: float = 1e-12) -> bool:
-    """True when gaps decrease as |x| decreases and the last one is small."""
+def sweep_converged(reports: Sequence[GapReport], final_gap: float) -> bool:
+    """True when gaps decrease (within 1e-12) as |x| does, the last below final_gap."""
     rows = sorted(reports, key=lambda r: -abs(r.x))
     gaps = [r.gap for r in rows]
-    decreasing = all(gaps[i + 1] <= gaps[i] + slack for i in range(len(gaps) - 1))
+    decreasing = all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
     return decreasing and gaps[-1] < final_gap
 
 
@@ -93,6 +92,9 @@ def _difference_extrema(F: Primitive, x: float):
     window = (min(lo, lo + x) - abs(x), max(hi, hi + x) + abs(x))
     ev = lambda y: F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float))
     bp = F.breakpoints()
+    if isinstance(F, ClosedFormPrimitive) and F.support is not None:
+        # F has kinks where its declared support ends; H often peaks there
+        bp = np.asarray(F.support_window())
     if len(bp):
         return grid_extrema(ev, window, levels=14, seeds=tuple(np.union1d(bp, bp + x)),
                             include=(0.0,))
@@ -289,8 +291,8 @@ class SmoothBump:
     def derivative_sup(self) -> float:
         return abs(self.amplitude) / self.halfwidth * _phi_prime_max()
 
-    def to_integrand(self, tol: float = 1e-12) -> Integrand:
-        P = build_primitive_from_pointwise(self.value, Interval(*self.support), tol,
+    def to_integrand(self) -> Integrand:
+        P = build_primitive_from_pointwise(self.value, Interval(*self.support), 1e-12,
                                            label="bump")
         return Integrand(P, self.value, "bump")
 
@@ -391,8 +393,8 @@ def one_norm(f: Integrand) -> float:
     return P.limit_pos
 
 
-def primitive_gap_l1(f: Integrand, x: float, tol: float = 1e-10) -> float:
-    """integral of |F(y-x) - F(y)| dy, for absolutely integrable f."""
+def primitive_gap_l1(f: Integrand, x: float) -> float:
+    """integral of |F(y-x) - F(y)| dy, for absolutely integrable f (to 1e-10)."""
     F = f.primitive
     if x == 0.0:
         return 0.0
@@ -415,11 +417,11 @@ def primitive_gap_l1(f: Integrand, x: float, tol: float = 1e-10) -> float:
     lo, hi = F.support_window()
     if isinstance(F, PiecewiseChebyshevPrimitive) and not F.tail_estimated:
         window = Interval(min(lo, lo + x), max(hi, hi + x))
-        P = build_primitive_from_pointwise(ev, window, tol)
+        P = build_primitive_from_pointwise(ev, window, 1e-10)
         return P.limit_pos
     core = max(abs(lo), abs(hi), 8.0) + abs(x)
     try:
-        P = build_primitive_from_pointwise(ev, Interval(-math.inf, math.inf), tol,
+        P = build_primitive_from_pointwise(ev, Interval(-math.inf, math.inf), 1e-10,
                                            core_halfwidth=core)
     except NonConvergentTail as exc:
         raise NotAbsolutelyIntegrable(
@@ -468,15 +470,15 @@ class HkWitnessReport:
     gap_norm: float
 
 
-def hk_not_l1_witness(x: float, periods: int = 200) -> HkWitnessReport:
+def hk_not_l1_witness(x: float) -> HkWitnessReport:
     """Certificate that tau_x F - F (for F(y) = sin(y)/y) is integrable in the
     norm sense but not absolutely integrable.
 
     The large-y behaviour of the difference is ([cos x - 1] sin y - sin x cos y)/y;
     divergence of the absolute integral is certified by fitting the partial
-    integrals over k periods against log k (divergent when the fit is clean,
-    R^2 >= 0.999, with positive slope).  The certificate is reported as
-    inconclusive when both asymptotic coefficients vanish.
+    integrals over k = 1 ... 200 periods against log k (divergent when the fit
+    is clean, R^2 >= 0.999, with positive slope).  The certificate is reported
+    as inconclusive when both asymptotic coefficients vanish.
     """
     if x == 0.0:
         raise ValueError("the witness needs a nonzero shift")
@@ -490,6 +492,7 @@ def hk_not_l1_witness(x: float, periods: int = 200) -> HkWitnessReport:
         return np.abs(F.eval(y - x) - F.eval(y))
 
     nodes, wts = gauss_nodes(16)
+    periods = 200
     panels_per_period = 12
     S = np.empty(periods)
     acc = 0.0

@@ -99,11 +99,10 @@ def disc_kernel_mass(r: float, a: float, b: float) -> float:
     return (0.5 - _disc_cdf(r, a_red)) + (_disc_cdf(r, b_red - TWO_PI) + 0.5)
 
 
-def poisson_disc(f: PeriodicIntegrand, r: float, theta: float,
-                 tol: float = 1e-10) -> float:
+def poisson_disc(f: PeriodicIntegrand, r: float, theta: float) -> float:
     """Harmonic extension of periodic boundary data, evaluated at r e^{i theta}.
 
-    Smooth data takes the periodic midpoint rule from 64 up to 2^19 nodes."""
+    Smooth data takes the periodic midpoint rule from 64 up to 2^19 nodes, to 1e-10."""
     if r < 0:
         raise ValueError("the radius must be nonnegative")
     if r >= 1.0:
@@ -122,11 +121,11 @@ def poisson_disc(f: PeriodicIntegrand, r: float, theta: float,
     while N <= 2 ** 19:
         phis = -math.pi + (np.arange(N) + 0.5) * (TWO_PI / N)
         u = float((TWO_PI / N) * np.dot(f.pointwise(phis), disc_kernel(r, phis - theta)))
-        if prev is not None and abs(u - prev) <= tol * max(1.0, abs(u)):
+        if prev is not None and abs(u - prev) <= 1e-10 * max(1.0, abs(u)):
             return u
         prev = u
         N *= 2
-    raise ToleranceNotMet(f"periodic rule did not converge below {tol}")
+    raise ToleranceNotMet("periodic rule did not converge below 1e-10")
 
 
 def disc_boundary_convergence(f: PeriodicIntegrand,
@@ -238,7 +237,7 @@ class HalfPlaneOperator:
     def __init__(self, f, w: Weight):
         self.f = f
         self.w = w
-        self.fw = product_integrand(f, w, tol=1e-10, core_halfwidth=4096.0)
+        self.fw = product_integrand(f, w, core_halfwidth=4096.0)
         self.G = self.fw.primitive
         self.G_inf = self.G.limit_pos
 
@@ -296,9 +295,9 @@ class HalfPlaneOperator:
         return pts
 
 
-def poisson_halfplane(f, w: Weight, z: HalfPlanePoint, tol: float = 1e-6) -> float:
-    """One-shot evaluation of the weighted-parts Poisson integral."""
-    return HalfPlaneOperator(f, w).value(z, tol)
+def poisson_halfplane(f, w: Weight, z: HalfPlanePoint) -> float:
+    """One-shot evaluation of the weighted-parts Poisson integral, to 1e-6."""
+    return HalfPlaneOperator(f, w).value(z)
 
 
 def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
@@ -351,17 +350,17 @@ class KernelBVReport:
     bounded: bool
 
 
-def kernel_bv_audit(w: Weight, z: HalfPlanePoint, window,
-                    levels: int = 14) -> KernelBVReport:
-    """Variation of Psi_z and 1/Psi_z on a window, with refinement stability."""
+def kernel_bv_audit(w: Weight, z: HalfPlanePoint, window) -> KernelBVReport:
+    """Variation of Psi_z and 1/Psi_z on a window at 14 dyadic levels, with
+    refinement stability against 15."""
     window = _as_interval(window)
     kp = kernel_pair(w, z)
     inv = lambda t: 1.0 / kp.Psi(t)
     seeds = tuple(w.breakpoints())
-    v1 = variation(kp.Psi, window, levels, extra_points=seeds)
-    v1b = variation(kp.Psi, window, levels + 1, extra_points=seeds)
-    v2 = variation(inv, window, levels, extra_points=seeds)
-    v2b = variation(inv, window, levels + 1, extra_points=seeds)
+    v1 = variation(kp.Psi, window, 14, extra_points=seeds)
+    v1b = variation(kp.Psi, window, 15, extra_points=seeds)
+    v2 = variation(inv, window, 14, extra_points=seeds)
+    v2b = variation(inv, window, 15, extra_points=seeds)
     stable = _refinement_stable(v1, v1b) and _refinement_stable(v2, v2b)
     return KernelBVReport(V_Psi=v1b, V_invPsi=v2b,
                           bounded=stable and math.isfinite(v1b) and math.isfinite(v2b))

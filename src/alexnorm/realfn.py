@@ -569,22 +569,26 @@ def integral(f: Integrand, I) -> float:
     return float(F.eval(I.b)) - float(F.eval(I.a))
 
 
-def _resolve_samplable(h, I: Interval):
-    """Common preamble of variation/oscillation: evaluator, finite window, seeds."""
+def _dyadic_samples(h, I: Interval, levels: int, extra_points) -> np.ndarray:
+    """h sampled for variation and oscillation: a Primitive's window stands
+    in for an infinite endpoint, and its breakpoints join extra_points."""
     if isinstance(h, Integrand):
         h = h.primitive
     if isinstance(h, Primitive):
-        ev = h.eval
+        ev, seeds = h.eval, h.breakpoints()
         lo, hi = h.support_window()
         a = I.a if math.isfinite(I.a) else lo
         b = I.b if math.isfinite(I.b) else hi
         a, b = min(a, b), max(a, b)
         if a == b:
             b = a + 1.0
-        return ev, Interval(a, b), h.breakpoints()
-    if not I.finite:
+        I = Interval(a, b)
+    elif not I.finite:
         raise ValueError("an unbounded interval needs a Primitive operand")
-    return (lambda y: _call_vec(h, y)), I, ()
+    else:
+        ev, seeds = (lambda y: _call_vec(h, y)), ()
+    pts = np.asarray(Partition.dyadic(I, levels, tuple(seeds) + tuple(extra_points)).points)
+    return ev(pts)
 
 
 def variation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> float:
@@ -598,9 +602,7 @@ def variation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> flo
     I = _as_interval(I)
     if I.length == 0.0:
         return 0.0
-    ev, win, seeds = _resolve_samplable(h, I)
-    pts = np.asarray(Partition.dyadic(win, levels, tuple(seeds) + tuple(extra_points)).points)
-    vals = ev(pts)
+    vals = _dyadic_samples(h, I, levels, extra_points)
     return float(np.abs(np.diff(vals)).sum())
 
 
@@ -612,9 +614,7 @@ def oscillation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> f
     I = _as_interval(I)
     if I.length == 0.0:
         return 0.0
-    ev, win, seeds = _resolve_samplable(h, I)
-    pts = np.asarray(Partition.dyadic(win, levels, tuple(seeds) + tuple(extra_points)).points)
-    vals = ev(pts)
+    vals = _dyadic_samples(h, I, levels, extra_points)
     lo = float(vals.min())
     hi = float(vals.max())
     if isinstance(h, Integrand):
@@ -714,13 +714,16 @@ def build_primitive_from_pointwise(
     The total quadrature error over the core window is driven below ``tol``
     by splitting the worst panel first.  Infinite support endpoints are
     truncated to the core window and the remaining mass is estimated from
-    doubling windows (geometric extrapolation); ``tail_mode='accelerate'``
-    additionally applies an alternating-series transform for oscillatory
-    decaying tails, and ``tail_values=(left, right)`` declares the masses
-    outright.  Raises NonConvergentTail when the tail cannot be stabilized,
+    doubling windows (geometric extrapolation, ``tail_mode='extrapolate'``);
+    ``tail_mode='accelerate'`` additionally applies an alternating-series
+    transform for oscillatory decaying tails, and ``tail_values=(left,
+    right)`` declares the masses outright.  Any other tail_mode is a
+    ValueError.  Raises NonConvergentTail when the tail cannot be stabilized,
     and ToleranceNotMet when the panel budget is exhausted or the error
     estimate is not finite (NaN or infinite data).
     """
+    if tail_mode not in ("extrapolate", "accelerate"):
+        raise ValueError(f"unknown tail_mode {tail_mode!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     sup = _as_interval(support)
@@ -808,8 +811,6 @@ def _tail_mass(f_eval, start: float, direction: int, tol: float, tail_mode: str)
     usual left-to-right orientation, so the sum is the tail's contribution to
     the primitive regardless of direction.
     """
-    if tail_mode == "none":
-        raise NonConvergentTail("infinite support and tail handling disabled")
     tail_tol = max(tol, 1e-13)
     t = start
     incs = []

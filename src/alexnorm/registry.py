@@ -72,7 +72,7 @@ def _build_gaussian() -> Integrand:
 
 
 def _build_bump() -> Integrand:
-    return SmoothBump().to_integrand(1e-12)
+    return SmoothBump().to_integrand()
 
 
 def _build_cosine() -> Integrand:

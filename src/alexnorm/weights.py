@@ -17,24 +17,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateWeight, HypothesisViolated, NonConvergentTail,
-                     NonIntegrableProduct, ToleranceNotMet)
+from .errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
+                     NonConvergentTail, NonIntegrableProduct, ToleranceNotMet)
 from .norms import GapReport, _difference_extrema, alexiewicz_norm, gap_sweep
 from .realfn import (Integrand, Interval, _as_interval, _call_vec,
                      build_primitive_from_pointwise, grid_extrema, variation)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
+# Midpoint cells of every grid estimate; each estimate is repeated at twice
+# this count to check that one refinement doubling leaves it settled.
+_GRID = 4096
+
+
+def _zeros(y):
+    return np.zeros_like(np.asarray(y, dtype=float))
+
 
 class Weight:
-    """A positive weight function with per-interval bound/variation caches.
+    """A positive weight function.
 
     Table weights are piecewise constant and normalized to right continuity on
-    ingestion.  Caches are write-once: computed on first request, then reused.
+    ingestion; their derivative is zero, the jumps being no part of it.
     ``kernel_ratio_limit(z)``, when given, returns the limits at -inf and +inf
     of Phi_z(t)/w(t) (the half-plane kernel over the weight) in closed form.
     """
@@ -48,8 +56,6 @@ class Weight:
         self.constant_value = constant
         self.kernel_ratio_limit = kernel_ratio_limit
         self.label = label
-        self._bounds_cache: Dict = {}
-        self._var_cache: Dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -75,15 +81,14 @@ class Weight:
             idx = np.searchsorted(bps, np.asarray(y, dtype=float), side="right")
             return vals[idx]
 
-        return cls(step, table=(bps, vals), label=label)
+        return cls(step, derivative=_zeros, table=(bps, vals), label=label)
 
     @classmethod
     def constant(cls, c: float = 1.0, label: str = "constant") -> "Weight":
         if c <= 0:
             raise ValueError("a weight must be positive")
         return cls(lambda y: np.full_like(np.asarray(y, dtype=float), c),
-                   derivative=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-                   constant=c, label=label)
+                   derivative=_zeros, constant=c, label=label)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -95,11 +100,11 @@ class Weight:
         return self.constant_value == 1.0
 
     def derivative(self, y):
-        if self._derivative is not None:
-            return _call_vec(self._derivative, np.asarray(y, dtype=float))
-        h = 1e-6
-        y = np.asarray(y, dtype=float)
-        return (self(y + h) - self(y - h)) / (2.0 * h)
+        """w'(y) as declared: exactly zero for table and constant weights.  A
+        closed form declared without a derivative raises InvalidSpec."""
+        if self._derivative is None:
+            raise InvalidSpec(f"weight {self.label!r} has no declared derivative")
+        return _call_vec(self._derivative, np.asarray(y, dtype=float))
 
     def breakpoints(self) -> np.ndarray:
         """Jump locations of a table weight; empty for every other weight."""
@@ -113,27 +118,18 @@ class Weight:
         pts = np.union1d(bp, bp - x)
         return tuple(pts[(pts >= I.a) & (pts <= I.b)])
 
-    # -- cached estimates ---------------------------------------------------
+    # -- grid estimates -----------------------------------------------------
 
-    def bounds_on(self, I, grid: int = 4096) -> tuple:
-        """(m, M) from midpoint cells at grid and 2*grid."""
+    def bounds_on(self, I) -> tuple:
+        """(m, M) from midpoint cells at _GRID and 2 * _GRID."""
         I = _as_interval(I)
-        key = (I.a, I.b, grid)
-        if key not in self._bounds_cache:
-            vals1 = self(_midpoints(I, grid))
-            vals2 = self(_midpoints(I, 2 * grid))
-            m = float(min(vals1.min(), vals2.min()))
-            M = float(max(vals1.max(), vals2.max()))
-            self._bounds_cache[key] = (m, M)
-        return self._bounds_cache[key]
+        vals1 = self(_midpoints(I, _GRID))
+        vals2 = self(_midpoints(I, 2 * _GRID))
+        return (float(min(vals1.min(), vals2.min())),
+                float(max(vals1.max(), vals2.max())))
 
     def variation_on(self, I, levels: int = 12) -> float:
-        I = _as_interval(I)
-        key = (I.a, I.b, levels)
-        if key not in self._var_cache:
-            self._var_cache[key] = variation(lambda y: self(y), I, levels,
-                                             extra_points=tuple(self.breakpoints()))
-        return self._var_cache[key]
+        return variation(self, I, levels, extra_points=tuple(self.breakpoints()))
 
 
 def _midpoints(I: Interval, n: int) -> np.ndarray:
@@ -151,9 +147,10 @@ class RatioFunction:
         y = np.asarray(y, dtype=float)
         return self.weight(y + self.x) / self.weight(y)
 
-    def sup_on(self, I, grid: int = 4096) -> float:
+    def sup_on(self, I) -> tuple:
+        """Maxima over midpoint cells at _GRID and at 2 * _GRID."""
         I = _as_interval(I)
-        return float(self(_midpoints(I, grid)).max())
+        return tuple(float(self(_midpoints(I, n)).max()) for n in (_GRID, 2 * _GRID))
 
     def variation_on(self, I, levels: int = 12) -> float:
         I = _as_interval(I)
@@ -167,19 +164,19 @@ def weight_ratio(w: Weight, x: float) -> RatioFunction:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Grid fraction of an interval where a function strays from its target."""
+    """Fraction of the _GRID midpoint cells of an interval where a function
+    strays from its target."""
 
     interval: Interval
     epsilon: float
     fraction: float
-    grid_size: int
     l1_average: float
     stability_delta: float
     x: float = 0.0
 
 
 def convergence_in_measure(h_family: Mapping[float, Evaluator], target: Evaluator,
-                           I, eps: float, grid: int = 4096) -> List[MeasureEstimate]:
+                           I, eps: float) -> List[MeasureEstimate]:
     """Per shift: fraction of midpoint cells where |h_x - target| > eps, plus
     the companion L1 grid estimate of the integral of |h_x - target| over I."""
     if eps <= 0:
@@ -189,12 +186,12 @@ def convergence_in_measure(h_family: Mapping[float, Evaluator], target: Evaluato
     for x in sorted(h_family, key=lambda t: (-abs(t), t)):
         h = h_family[x]
         est = []
-        for n in (grid, 2 * grid):
+        for n in (_GRID, 2 * _GRID):
             mids = _midpoints(I, n)
             diff = np.abs(_call_vec(h, mids) - _call_vec(target, mids))
             est.append((float(np.mean(diff > eps)), float(np.mean(diff) * I.length)))
         out.append(MeasureEstimate(interval=I, epsilon=eps, fraction=est[0][0],
-                                   grid_size=grid, l1_average=est[0][1],
+                                   l1_average=est[0][1],
                                    stability_delta=abs(est[0][0] - est[1][0]), x=x))
     return out
 
@@ -210,11 +207,11 @@ def _refinement_stable(coarse: float, fine: float) -> bool:
     return abs(fine - coarse) <= max(1e-6, 5e-3 * (1.0 + fine))
 
 
-def _measure_converges(ests: Sequence[MeasureEstimate], grid: int) -> bool:
+def _measure_converges(ests: Sequence[MeasureEstimate]) -> bool:
     """Off-by-eps fractions nonincreasing as the shift shrinks, within one and
     a half grid cells, with the last one at most 0.05."""
     fr = [e.fraction for e in ests]
-    slack = 1.5 / grid + 1e-12
+    slack = 1.5 / _GRID + 1e-12
     return (all(fr[i + 1] <= fr[i] + slack for i in range(len(fr) - 1))
             and fr[-1] <= 0.05)
 
@@ -234,8 +231,7 @@ class RatioConditionsReport:
 
 
 def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
-                           eps: float, grid: int = 4096,
-                           levels: int = 12) -> RatioConditionsReport:
+                           eps: float, levels: int = 12) -> RatioConditionsReport:
     """Evidence-grade verdicts on the three ratio conditions: uniform bound,
     uniform variation, and convergence to 1 in measure on each interval
     (the fraction of cells off by more than eps falls to at most 0.05)."""
@@ -250,8 +246,9 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
     coarse_variations = []
     for x in xs_sorted:
         g = weight_ratio(w, x)
-        b = max(g.sup_on(I, grid) for I in intervals)
-        b2 = max(g.sup_on(I, 2 * grid) for I in intervals)
+        sups = [g.sup_on(I) for I in intervals]
+        b = max(s for s, _ in sups)
+        b2 = max(s2 for _, s2 in sups)
         bounds.append(max(b, b2))
         bound_deltas.append(abs(b - b2))
         v = max(g.variation_on(I, levels) for I in intervals)
@@ -270,8 +267,8 @@ def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
     measures = []
     measure_ok = True
     for I in intervals:
-        ests = convergence_in_measure(family, one, I, eps, grid)
-        measure_ok = measure_ok and _measure_converges(ests, grid)
+        ests = convergence_in_measure(family, one, I, eps)
+        measure_ok = measure_ok and _measure_converges(ests)
         measures.extend(ests)
 
     passed = (math.isfinite(uniform_bound) and bound_stable and
@@ -294,24 +291,22 @@ class SufficientConditionsReport:
     passed: bool
 
 
-def sufficient_conditions_check(w: Weight, I, grid: int = 4096,
-                                levels: int = 12) -> SufficientConditionsReport:
-    """Positive bounds, local bounded variation, and continuity in measure of
-    the weight itself on a compact interval (shifts 2^-1 ... 2^-9, eps 0.05)."""
+def sufficient_conditions_check(w: Weight, I) -> SufficientConditionsReport:
+    """Positive bounds, local bounded variation (12 dyadic levels against 13),
+    and continuity in measure of the weight itself on a compact interval
+    (shifts 2^-1 ... 2^-9, eps 0.05)."""
     I = _as_interval(I)
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    m, M = w.bounds_on(I, grid)
+    m, M = w.bounds_on(I)
     if m <= 0:
         raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
-    bv = w.variation_on(I, levels)
-    bv2 = w.variation_on(I, levels + 1)
+    bv = w.variation_on(I, 12)
+    bv2 = w.variation_on(I, 13)
     bv_stable = _refinement_stable(bv, bv2)
 
     x_ladder = [2.0 ** -k for k in range(1, 10)]
     family = {x: (lambda y, x=x: w(np.asarray(y, dtype=float) + x)) for x in x_ladder}
-    ests = convergence_in_measure(family, lambda y: w(y), I, 0.05, grid)
-    measure_ok = _measure_converges(ests, grid)
+    ests = convergence_in_measure(family, lambda y: w(y), I, 0.05)
+    measure_ok = _measure_converges(ests)
 
     passed = bool(m > 0 and math.isfinite(M) and bv_stable and measure_ok)
     return SufficientConditionsReport(m_I=m, M_I=M, bv_local=bv2,
@@ -329,24 +324,24 @@ class VariationBoundReport:
     passed: bool
 
 
-def variation_bound_check(w: Weight, x: float, I, levels: int = 12,
-                          grid: int = 4096, tol: float = 1e-9) -> VariationBoundReport:
-    """Check V_I g_x <= V_{I+x} w / m_I + M V_I w / m_I^2.
+def variation_bound_check(w: Weight, x: float, I) -> VariationBoundReport:
+    """Check V_I g_x <= V_{I+x} w / m_I + M V_I w / m_I^2 to within 1e-9,
+    every variation at 12 dyadic levels.
 
     m_I is the grid infimum of w over I (the denominators live there); M is a
     grid upper bound of w over I and I+x, covering the shifted evaluations.
     """
     I = _as_interval(I)
     g = weight_ratio(w, x)
-    lhs = g.variation_on(I, levels)
-    m, M0 = w.bounds_on(I, grid)
+    lhs = g.variation_on(I)
+    m, M0 = w.bounds_on(I)
     if m <= 0:
         raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
-    _, M1 = w.bounds_on(I.shifted(x), grid)
+    _, M1 = w.bounds_on(I.shifted(x))
     M = max(M0, M1)
-    rhs = w.variation_on(I.shifted(x), levels) / m + M * w.variation_on(I, levels) / (m * m)
+    rhs = w.variation_on(I.shifted(x)) / m + M * w.variation_on(I) / (m * m)
     return VariationBoundReport(x=x, lhs=lhs, rhs=rhs, m_I=m, M_used=M,
-                                passed=lhs <= rhs + tol)
+                                passed=lhs <= rhs + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +357,8 @@ def _resolve_pointwise(f) -> Optional[Evaluator]:
     return None
 
 
-def product_integrand(f, w: Weight, *, tol: float = 1e-10,
-                      core_halfwidth: float = 64.0, label: str = "") -> Integrand:
-    """The integrable object fw, built from pointwise data.
+def product_integrand(f, w: Weight, *, core_halfwidth: float = 64.0) -> Integrand:
+    """The integrable object fw, built from pointwise data to 1e-10.
 
     f may be an Integrand or a bare evaluator (the weighted theory covers
     functions that are not integrable on their own, e.g. constants).
@@ -375,15 +369,14 @@ def product_integrand(f, w: Weight, *, tol: float = 1e-10,
             return f
         pt = f.pointwise_or_derived()
         scaled_pt = None if pt is None else (lambda y: c * _call_vec(pt, y))
-        return Integrand(f.primitive.scaled(c), scaled_pt,
-                         label or f"{f.label}*{w.label}")
+        return Integrand(f.primitive.scaled(c), scaled_pt, f"{f.label}*{w.label}")
 
     fp = _resolve_pointwise(f)
     if fp is None:
         raise NonIntegrableProduct("no pointwise data for the product")
     prod = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * w(y)
-    P = _weighted_primitive(prod, f, w, tol, core_halfwidth, label=label or "product")
-    return Integrand(P, prod, label or "product")
+    P = _weighted_primitive(prod, f, w, 1e-10, core_halfwidth, label="product")
+    return Integrand(P, prod, "product")
 
 
 def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
@@ -432,7 +425,7 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
         return gap_sweep(f, xs, tol)
 
     build_tol = 1e-10
-    G = product_integrand(f, w, tol=build_tol).primitive
+    G = product_integrand(f, w).primitive
     fp = _resolve_pointwise(f)
     reports = []
     for x in sorted(xs, key=lambda t: (-abs(t), t)):
@@ -488,26 +481,27 @@ class LemmaBoundReport:
 
 
 def uniform_bound_lemma_check(g_seq: Sequence[Evaluator], E, g_limit: Evaluator,
-                              M: float, grid: int = 4096, levels: int = 12,
-                              tol: float = 1e-9) -> LemmaBoundReport:
+                              M: float) -> LemmaBoundReport:
     """Witness the uniform bound M + 1 + sup|g| for a variation-bounded family
-    converging in measure to a BV limit.
+    converging in measure to a BV limit; variations take 12 dyadic levels,
+    sups the _GRID midpoint cells, and both comparisons a slack of 1e-9.
 
     Raises HypothesisViolated when a family member exceeds the variation
     budget M on the sampled window (the hypotheses fail, not the library).
     """
     E = _as_interval(E)
+    tol = 1e-9
     variations = []
     for i, gn in enumerate(g_seq):
-        Vn = variation(gn, E, levels)
+        Vn = variation(gn, E)
         if Vn > M + tol:
             raise HypothesisViolated(
                 f"family member {i} has variation {Vn:.6g} > budget {M:.6g}")
         variations.append(Vn)
 
-    mids = _midpoints(E, grid)
+    mids = _midpoints(E, _GRID)
     g_sup = float(np.abs(_call_vec(g_limit, mids)).max())
-    g_sup = max(g_sup, float(np.abs(_call_vec(g_limit, _midpoints(E, 2 * grid))).max()))
+    g_sup = max(g_sup, float(np.abs(_call_vec(g_limit, _midpoints(E, 2 * _GRID))).max()))
     bound = M + 1.0 + g_sup
 
     sups = []

@@ -104,7 +104,7 @@ def test_c04_slow_decay_construction():
 
 def test_c05_bump_oscillation_rate():
     b = SmoothBump()
-    g = b.to_integrand(1e-12)
+    g = b.to_integrand()
     ok = True
     detail = []
     for x in (1e-2, 1e-3):

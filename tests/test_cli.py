@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -91,6 +92,9 @@ def test_parse_constant_function_only_in_weighted_kinds():
         parse_manifest(_scenario(function_spec={"kind": "constant", "value": 1.0}))
 
 
+RQ = {"kind": "builtin", "name": "reciprocal_quadratic"}
+
+
 @pytest.mark.parametrize("fields, where", [
     ({"kind": ["norm"]}, r"scenarios\[0\]\.kind"),
     ({"kind": "decay", "psi": {"name": "cubic"}}, r"scenarios\[0\]\.psi\.name"),
@@ -104,18 +108,61 @@ def test_parse_constant_function_only_in_weighted_kinds():
     ({"thresholds": {"final_gap": "abc"}}, r"scenarios\[0\]\.thresholds\.final_gap"),
     ({"kind": "gap_sweep", "ladder": 5}, r"scenarios\[0\]\.ladder"),
     ({"kind": "gap_sweep", "ladder": ["a"]}, r"scenarios\[0\]\.ladder"),
+    ({"kind": "gap_sweep", "ladder": ["0.5", True]}, r"scenarios\[0\]\.ladder"),
+    ({"thresholds": {"tol": "1e-9"}}, r"scenarios\[0\]\.thresholds\.tol"),
     ({"kind": "lemma_check", "ns": []}, r"scenarios\[0\]\.ns"),
     ({"kind": "lemma_check", "ns": [1, 0]}, r"scenarios\[0\]\.ns"),
     ({"kind": "lemma_check", "ns": [1, "a"]}, r"scenarios\[0\]\.ns"),
+    ({"kind": "decay", "n_max": "abc"}, r"scenarios\[0\]\.n_max"),
+    ({"expected": "one"}, r"scenarios\[0\]\.expected"),
+    ({"kind": "weight_audit", "ladder": [0.5], "weight_spec": RQ, "eps": 0},
+     r"scenarios\[0\]\.eps"),
+    ({"kind": "weight_audit", "ladder": [0.5], "weight_spec": RQ, "interval": [3, -3]},
+     r"scenarios\[0\]\.interval"),
+    # levels sizes a 2^levels + 1 sample grid
+    ({"kind": "weight_audit", "ladder": [0.5], "weight_spec": RQ,
+      "closed_form_check": {"levels": 0}}, r"scenarios\[0\]\.closed_form_check\.levels"),
+    ({"kind": "weight_audit", "ladder": [0.5], "weight_spec": RQ,
+      "closed_form_check": {"levels": 21}}, r"scenarios\[0\]\.closed_form_check\.levels"),
+    ({"kind": "lemma_check", "expect": "violatd"}, r"scenarios\[0\]\.expect"),
+    ({"check_isometry": True, "pairs": -5}, r"scenarios\[0\]\.pairs"),
+    ({"check_isometry": "yes"}, r"scenarios\[0\]\.check_isometry"),
+    ({"kind": "osc_bound", "ladder": [0.1], "halfwidth": 0.0}, r"scenarios\[0\]\.halfwidth"),
+    ({"kind": "primitive_gap", "ladder": [0.5], "witness_shift": 0.0},
+     r"scenarios\[0\]\.witness_shift"),
 ], ids=["kind", "psi", "family", "closed_form_check", "thresholds_not_object",
         "tol_not_number", "final_gap_not_number", "ladder_not_list",
-        "ladder_entry_not_number", "ns_empty", "ns_zero", "ns_not_integer"])
+        "ladder_entry_not_number", "ladder_entry_string_or_bool", "tol_string", "ns_empty", "ns_zero", "ns_not_integer",
+        "n_max_not_integer", "expected_not_number", "eps_zero", "interval_reversed",
+        "closed_form_levels_zero", "closed_form_levels_too_large", "expect_misspelled",
+        "pairs_negative", "check_isometry_not_bool", "halfwidth_zero", "witness_shift_zero"])
 def test_parse_rejects_field_before_running(fields, where):
     with pytest.raises(SpecParseError, match=where):
         parse_manifest(_scenario(**fields))
 
 
-@pytest.mark.parametrize("seed", ["abc", [1], float("inf")])
+def test_parse_fills_field_defaults():
+    # every field a kind reads is resolved at parse time, defaults included
+    sc = parse_manifest(_scenario(kind="weight_audit", ladder=[0.5], weight_spec=RQ,
+                                  closed_form_check={"xs": [0.25]})).scenarios[0]
+    assert sc.params == {"interval": (-10.0, 10.0), "eps": 0.1, "closed_form_check": {
+        "xs": [0.25], "interval": (-50.0, 50.0), "levels": 16, "rel_tol": 0.01}}
+    sc = parse_manifest(_scenario(kind="lemma_check", family="spike")).scenarios[0]
+    assert sc.params == {"family": "spike", "ns": [1, 2, 4, 8], "M": 8.0,
+                         "expect": "witnessed", "interval": None}
+
+
+def test_run_exits_2_on_bad_field(tmp_path, capsys):
+    # a bad field stops the run before any scenario writes
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_scenario(kind="weight_audit", ladder=[0.5],
+                                          weight_spec=RQ, eps=0)))
+    assert main(["run", str(mpath), "--out", str(tmp_path / "o")]) == 2
+    assert "scenarios[0].eps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", ["abc", [1], float("inf"), 2.7, True, -1])
 def test_parse_rejects_manifest_seed(seed):
     manifest = _scenario()
     manifest["seed"] = seed
@@ -330,3 +377,18 @@ def test_cli_run_invalid_json(tmp_path):
     cp = run_cli("run", str(mpath))
     assert cp.returncode == 2
     assert "invalid JSON" in cp.stderr
+
+
+# -- options -------------------------------------------------------------------
+
+
+def test_keyword_default_count_is_pinned():
+    # every keyword parameter with a default (in a def or a lambda) is an
+    # option a caller may set; a new one must change this count on purpose
+    count = 0
+    for path in sorted(Path(alexnorm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+    assert count == 60

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alexnorm.cli import serialize_poisson_reports
-from alexnorm.errors import KernelSingularity, NonIntegrableProduct
+from alexnorm.errors import InvalidSpec, KernelSingularity, NonIntegrableProduct
 from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               PeriodicIntegrand, disc_boundary_convergence,
                               disc_kernel, disc_kernel_mass,
@@ -311,6 +311,22 @@ def test_kernel_bv_audit_constant_weight():
     edge = halfplane_kernel(0.5, 20.0)
     assert rep.V_Psi == pytest.approx(2.0 * peak - 2.0 * edge, rel=1e-4)
     assert rep.bounded
+
+
+def test_halfplane_needs_a_declared_weight_derivative(rq):
+    # Psi_z' needs w'; a closed form declared without one is refused rather
+    # than differenced numerically, while the Psi-only audit still runs
+    def w(y):
+        y = np.asarray(y, dtype=float)
+        return 1.0 / (y * y + 1.0)   # the reciprocal_quadratic builtin's values
+
+    bare = Weight.closed_form(w, label="bare")
+    z = HalfPlanePoint(0.5, 0.2)
+    with pytest.raises(InvalidSpec):
+        poisson_halfplane(indicator(-1.0, 1.0), bare, z)
+    rep = kernel_bv_audit(bare, HalfPlanePoint(0.0, 1.0), (-20.0, 20.0))
+    ref = kernel_bv_audit(rq, HalfPlanePoint(0.0, 1.0), (-20.0, 20.0))
+    assert rep == ref
 
 
 def test_kernel_bv_audit_point_window(rq):

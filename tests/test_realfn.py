@@ -243,6 +243,21 @@ def test_build_oscillatory_tail_needs_acceleration():
     assert P.tail_estimated
 
 
+@pytest.mark.parametrize("mode", ["none", "extrapolat", ""])
+def test_build_rejects_unknown_tail_mode(mode):
+    # an unknown mode fails before f is sampled, on finite support too
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return np.zeros_like(np.asarray(y, dtype=float))
+
+    for support in ((0.0, 1.0), (-INF, INF)):
+        with pytest.raises(ValueError, match="tail_mode"):
+            build_primitive_from_pointwise(f, support, 1e-8, tail_mode=mode)
+    assert calls == []
+
+
 def test_build_declared_tail_values():
     f = lambda y: np.exp(-np.abs(np.asarray(y, dtype=float)))
     P = build_primitive_from_pointwise(f, (-INF, INF), 1e-10, tail_values=(0.0, 0.0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alexnorm.errors import (DegenerateWeight, HypothesisViolated,
+from alexnorm.errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                              NonIntegrableProduct)
 from alexnorm.norms import gap_sweep
 from alexnorm.registry import get_function, get_weight
@@ -222,7 +222,7 @@ def test_weighted_sweep_constant_function(rq):
 
 def test_measure_step_fraction_exact(stepw):
     fam = {x: weight_ratio(stepw, x) for x in (0.5, 0.25, 0.125)}
-    ests = convergence_in_measure(fam, ONE, (-1.0, 1.0), 0.1, grid=4096)
+    ests = convergence_in_measure(fam, ONE, (-1.0, 1.0), 0.1)
     for e in ests:
         assert e.fraction == abs(e.x) / 2.0  # aligned grid: exact
         assert 0.0 <= e.fraction <= 1.0
@@ -283,6 +283,27 @@ def test_step_weight_right_continuous(stepw):
     # table weights evaluate to their limit from the right at each jump
     assert stepw(np.asarray([0.0]))[0] == 2.0
     assert stepw(np.asarray([-1e-12]))[0] == 1.0
+
+
+def test_table_weight_derivative_is_exactly_zero(stepw):
+    # at the jump, on both sides of it within a finite-difference step, and
+    # far away: a piecewise-constant weight has derivative 0 off its jumps,
+    # and the jump itself is no part of w'
+    w3 = Weight.piecewise_constant([-1.0, 0.5, 2.0], [1.0, 3.0, 0.5, 2.0])
+    ys = np.asarray([-1.0, -1.0 - 1e-7, 0.5, 0.5 + 1e-9, 2.0, 2.0 - 1e-12, -50.0, 7.0])
+    for w, pts in ((stepw, np.asarray([0.0, -1e-7, 1e-7, -3e-7, 5.0])), (w3, ys)):
+        d = w.derivative(pts)
+        assert d.shape == pts.shape
+        assert np.all(d == 0.0)
+        assert w.derivative(0.0) == 0.0
+
+
+def test_weight_without_derivative_raises():
+    bare = Weight.closed_form(lambda y: 1.0 / (np.asarray(y, dtype=float) ** 2 + 1.0),
+                              label="bare")
+    with pytest.raises(InvalidSpec, match="bare"):
+        bare.derivative(np.asarray([0.5]))
+    assert bare(np.asarray([1.0]))[0] == 0.5  # the weight itself still evaluates
 
 
 def test_weight_caches_are_stable(rq):
