@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -174,11 +174,21 @@ def _num(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
+def _output_file(v) -> bool:
+    """A file path inside the output directory, other than summary.json."""
+    p = PurePath(v)
+    return (isinstance(v, str) and bool(p.parts) and not p.is_absolute()
+            and ".." not in p.parts and p != PurePath("summary.json"))
+
+
 def _fields(spec, table: dict, where: str) -> dict:
     """The fields of table read from spec, each checked; an absent or null
-    field takes its default."""
+    field takes its default, and a key table does not list is refused."""
     if not isinstance(spec, dict):
         raise SpecParseError(f"{where}: expected an object")
+    for key in spec:
+        if key not in table:
+            raise SpecParseError(f"{where}.{key}: unknown key")
     return {name: (default if spec.get(name) is None
                    else check(spec[name], f"{where}.{name}"))
             for name, (default, check) in table.items()}
@@ -189,6 +199,13 @@ _POSITIVE = _is(lambda v: _num(v) and v > 0, "a positive finite number")
 # numpy's default_rng takes a nonnegative integer seed
 _SEED = _is(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 _THRESHOLDS = {"tol": (1e-9, _POSITIVE), "final_gap": (None, _REAL)}
+_TEXT = lambda v, where: str(v)
+_MANIFEST = {"scenarios": ([], _is(lambda v: isinstance(v, list), "a list")),
+             "seed": (0, _SEED), "versions": ("", _TEXT), "timestamp": ("", _TEXT)}
+# keys every scenario may carry besides its kind's fields
+_SCENARIO_KEYS = ("name", "kind", "function_spec", "weight_spec", "ladder", "thresholds",
+                  "output_path")
+_OUTPUT_PATH = _is(_output_file, "a relative file path without '..', other than summary.json")
 _LADDER = _is(lambda v: isinstance(v, list) and all(map(_num, v)), "a list of finite numbers")
 _FLAG = _is(lambda v: type(v) is bool, "true or false")
 _INTERVAL = _is(lambda v: len(v) == 2 and _num(v[0]) and _num(v[1]) and v[0] < v[1],
@@ -238,13 +255,10 @@ _KINDS = {
 
 def parse_manifest(data: dict) -> RunManifest:
     """Validate a manifest dict; SpecParseError messages name the bad field."""
-    if not isinstance(data, dict):
-        raise SpecParseError("manifest: expected a JSON object")
-    raw = data.get("scenarios", [])
-    if not isinstance(raw, list):
-        raise SpecParseError("manifest.scenarios: expected a list")
+    top = _fields(data, _MANIFEST, "manifest")
     scenarios = []
-    for i, sc in enumerate(raw):
+    written = {}   # output path -> the scenario that writes it
+    for i, sc in enumerate(top["scenarios"]):
         where = f"scenarios[{i}]"
         if not isinstance(sc, dict):
             raise SpecParseError(f"{where}: expected an object")
@@ -275,20 +289,25 @@ def parse_manifest(data: dict) -> RunManifest:
                                  registry.weight_from_spec)
         elif "weight" in needs:
             raise SpecParseError(f"{where}.weight_spec: required for kind {kind!r}")
-        params = _fields(sc, fields, where)
+        params = _fields({k: v for k, v in sc.items() if k not in _SCENARIO_KEYS},
+                         fields, where)
         if (params.get("closed_form_check") is not None
                 and weight is not registry.get_weight("reciprocal_quadratic")):
             # the closed form checked against is that weight's ratio variation
             raise SpecParseError(f"{where}.closed_form_check: only for the "
                                  f"reciprocal_quadratic builtin weight")
+        output_path = _OUTPUT_PATH(sc.get("output_path", f"{name}.csv"),
+                                   f"{where}.output_path")
+        other = written.setdefault(PurePath(output_path), where)
+        if other != where:
+            raise SpecParseError(f"{where}.output_path: {output_path!r} is also "
+                                 f"written by {other}")
         scenarios.append(Scenario(
             name=name, kind=kind, function=function, weight=weight, ladder=ladder,
             tol=thresholds["tol"], final_gap=thresholds["final_gap"],
-            output_path=sc.get("output_path", f"{name}.csv"), params=params))
-    return RunManifest(scenarios=scenarios,
-                       seed=_SEED(data.get("seed", 0), "manifest.seed"),
-                       versions=str(data.get("versions", "")),
-                       timestamp=str(data.get("timestamp", "")))
+            output_path=output_path, params=params))
+    return RunManifest(scenarios=scenarios, seed=top["seed"], versions=top["versions"],
+                       timestamp=top["timestamp"])
 
 
 def load_manifest(path) -> RunManifest:

@@ -61,10 +61,6 @@ class PeriodicIntegrand:
         wrapped = np.mod(phi + math.pi, TWO_PI) - math.pi
         return _call_vec(pt, wrapped)
 
-    def mean(self) -> float:
-        F = self.base.primitive
-        return (F.eval(math.pi) - F.eval(-math.pi)) / TWO_PI
-
     def pieces(self) -> Optional[tuple]:
         """(edges, values) when f is piecewise constant on its period."""
         F = self.base.primitive

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import minimize_scalar
 
-from .errors import NonConvergentTail, ToleranceNotMet
+from .errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -104,16 +104,13 @@ class Partition:
 
 
 def _call_vec(func: Evaluator, xs: np.ndarray) -> np.ndarray:
-    """Evaluate func on an array, falling back to a scalar loop if needed."""
+    """Evaluate a vectorized func on an array; its output must have the
+    input's shape."""
     xs = np.asarray(xs, dtype=float)
-    try:
-        out = np.asarray(func(xs), dtype=float)
-        if out.shape != xs.shape:
-            raise ValueError
-        return out
-    except (TypeError, ValueError, IndexError):
-        flat = [float(func(float(t))) for t in np.ravel(xs)]
-        return np.asarray(flat, dtype=float).reshape(xs.shape)
+    out = np.asarray(func(xs), dtype=float)
+    if out.shape != xs.shape:
+        raise InvalidSpec(f"evaluator returned shape {out.shape} for input shape {xs.shape}")
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -122,11 +119,11 @@ def gauss_nodes(n: int):
     return x, w
 
 
-def gl_integral(func: Evaluator, a: float, b: float, n: int = 32) -> float:
-    """Fixed Gauss-Legendre quadrature of func over [a, b]."""
+def gl_integral(func: Evaluator, a: float, b: float) -> float:
+    """64-point Gauss-Legendre quadrature of func over [a, b]."""
     if a == b:
         return 0.0
-    x, w = gauss_nodes(n)
+    x, w = gauss_nodes(64)
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     return float(hw * np.dot(w, _call_vec(func, mid + hw * x)))
@@ -704,8 +701,6 @@ def build_primitive_from_pointwise(
     *,
     breakpoints: Sequence[float] = (),
     core_halfwidth: float = 64.0,
-    tail_mode: str = "extrapolate",
-    tail_values: Optional[tuple] = None,
     max_panels: int = 20000,
     label: str = "",
 ) -> PiecewiseChebyshevPrimitive:
@@ -714,16 +709,11 @@ def build_primitive_from_pointwise(
     The total quadrature error over the core window is driven below ``tol``
     by splitting the worst panel first.  Infinite support endpoints are
     truncated to the core window and the remaining mass is estimated from
-    doubling windows (geometric extrapolation, ``tail_mode='extrapolate'``);
-    ``tail_mode='accelerate'`` additionally applies an alternating-series
-    transform for oscillatory decaying tails, and ``tail_values=(left,
-    right)`` declares the masses outright.  Any other tail_mode is a
-    ValueError.  Raises NonConvergentTail when the tail cannot be stabilized,
-    and ToleranceNotMet when the panel budget is exhausted or the error
-    estimate is not finite (NaN or infinite data).
+    doubling windows with geometric extrapolation.  Raises NonConvergentTail
+    when the tail cannot be stabilized, and ToleranceNotMet when the panel
+    budget is exhausted or the error estimate is not finite (NaN or infinite
+    data).
     """
-    if tail_mode not in ("extrapolate", "accelerate"):
-        raise ValueError(f"unknown tail_mode {tail_mode!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     sup = _as_interval(support)
@@ -778,25 +768,12 @@ def build_primitive_from_pointwise(
     edges = np.asarray([p[0] for p in panels] + [panels[-1][1]])
     fcoefs = np.asarray([p[2] for p in panels])
 
-    tail_estimated = False
-    left_mass = 0.0
-    right_mass = 0.0
-    if left_inf:
-        if tail_values is not None:
-            left_mass = float(tail_values[0])
-        else:
-            left_mass = _tail_mass(f_eval, a, -1, tol, tail_mode)
-            tail_estimated = True
-    if right_inf:
-        if tail_values is not None:
-            right_mass = float(tail_values[1])
-        else:
-            right_mass = _tail_mass(f_eval, b, +1, tol, tail_mode)
-            tail_estimated = True
+    left_mass = _tail_mass(f_eval, a, -1, tol) if left_inf else 0.0
+    right_mass = _tail_mass(f_eval, b, +1, tol) if right_inf else 0.0
 
     # convention: F(-inf) = 0, so the table starts at the mass left of the core
     out = PiecewiseChebyshevPrimitive(edges, fcoefs, F_edge0=left_mass, label=label,
-                                      tail_estimated=tail_estimated)
+                                      tail_estimated=left_inf or right_inf)
     if left_inf:
         out.limit_neg = 0.0
     if right_inf:
@@ -804,7 +781,7 @@ def build_primitive_from_pointwise(
     return out
 
 
-def _tail_mass(f_eval, start: float, direction: int, tol: float, tail_mode: str) -> float:
+def _tail_mass(f_eval, start: float, direction: int, tol: float) -> float:
     """Signed mass of f beyond ``start`` in the given direction.
 
     Windows double away from the core; each window integral is taken with the
@@ -819,7 +796,7 @@ def _tail_mass(f_eval, start: float, direction: int, tol: float, tail_mode: str)
             # beyond this, cancellation makes window integrals meaningless
             break
         t_next = direction * 2.0 * max(abs(t), 1.0)
-        Iv = gl_integral(f_eval, min(t, t_next), max(t, t_next), 64)
+        Iv = gl_integral(f_eval, min(t, t_next), max(t, t_next))
         incs.append(Iv)
         t = t_next
         if len(incs) >= 3:
@@ -830,56 +807,4 @@ def _tail_mass(f_eval, start: float, direction: int, tol: float, tail_mode: str)
                 if 0.0 < r < 0.95:
                     total += incs[-1] * r / (1.0 - r)
                 return total
-    if tail_mode == "accelerate":
-        return _oscillatory_tail(f_eval, start, direction, tail_tol)
-    raise NonConvergentTail(
-        "doubling-window tail integrals did not stabilize; "
-        "declare tail_values or use tail_mode='accelerate'")
-
-
-def _oscillatory_tail(f_eval, start: float, direction: int, tol: float) -> float:
-    """Half-period-window tail summation accelerated by the epsilon algorithm."""
-    probe = start + direction * np.linspace(0.0, 60.0, 8192)
-    vals = _call_vec(f_eval, probe)
-    sign_flip = np.nonzero(np.diff(np.signbit(vals)))[0]
-    if len(sign_flip) < 4:
-        raise NonConvergentTail("tail is not oscillatory; acceleration does not apply")
-    crossings = probe[sign_flip]
-    spacing = float(np.median(np.abs(np.diff(crossings))))
-    if not (spacing > 0):
-        raise NonConvergentTail("could not detect an oscillation scale in the tail")
-    partial = [0.0]
-    t = start
-    for _ in range(400):
-        t_next = t + direction * spacing
-        Iv = gl_integral(f_eval, min(t, t_next), max(t, t_next), 24)
-        partial.append(partial[-1] + Iv)
-        t = t_next
-        if len(partial) >= 12 and len(partial) % 4 == 0:
-            est, stable = _wynn_epsilon(np.asarray(partial[1:]))
-            if stable < tol:
-                return float(est)
-    raise NonConvergentTail("oscillatory tail acceleration did not converge")
-
-
-def _wynn_epsilon(S: np.ndarray):
-    """Epsilon-algorithm estimate of lim S_n; returns (value, stability)."""
-    prev_col = np.zeros(len(S))
-    curr = S.astype(float)
-    best = float(curr[-1])
-    prev_best = float(curr[0])
-    col = 0
-    while len(curr) >= 2:
-        diffs = np.diff(curr)
-        if np.any(diffs == 0.0):
-            break
-        nxt = prev_col[1:len(curr)] + 1.0 / diffs
-        if not np.all(np.isfinite(nxt)):
-            break
-        prev_col = curr
-        curr = nxt
-        col += 1
-        if col % 2 == 0:
-            prev_best = best
-            best = float(curr[-1])
-    return best, abs(best - prev_best)
+    raise NonConvergentTail("doubling-window tail integrals did not stabilize")

@@ -130,15 +130,47 @@ RQ = {"kind": "builtin", "name": "reciprocal_quadratic"}
     ({"kind": "osc_bound", "ladder": [0.1], "halfwidth": 0.0}, r"scenarios\[0\]\.halfwidth"),
     ({"kind": "primitive_gap", "ladder": [0.5], "witness_shift": 0.0},
      r"scenarios\[0\]\.witness_shift"),
+    # a misspelled key must not leave its field at the default
+    ({"kind": "lemma_check", "family": "spike", "expcet": "violated"},
+     r"scenarios\[0\]\.expcet: unknown key"),
+    ({"thresholds": {"tol_": 1e-9}}, r"scenarios\[0\]\.thresholds\.tol_: unknown key"),
+    ({"kind": "weight_audit", "ladder": [0.5], "weight_spec": RQ,
+      "closed_form_check": {"level": 16}},
+     r"scenarios\[0\]\.closed_form_check\.level: unknown key"),
+    ({"output_path": 5}, r"scenarios\[0\]\.output_path"),
+    ({"output_path": ""}, r"scenarios\[0\]\.output_path"),
+    ({"output_path": "/tmp/x.csv"}, r"scenarios\[0\]\.output_path"),
+    ({"output_path": "../x.csv"}, r"scenarios\[0\]\.output_path"),
+    ({"output_path": "summary.json"}, r"scenarios\[0\]\.output_path"),
 ], ids=["kind", "psi", "family", "closed_form_check", "thresholds_not_object",
         "tol_not_number", "final_gap_not_number", "ladder_not_list",
         "ladder_entry_not_number", "ladder_entry_string_or_bool", "tol_string", "ns_empty", "ns_zero", "ns_not_integer",
         "n_max_not_integer", "expected_not_number", "eps_zero", "interval_reversed",
         "closed_form_levels_zero", "closed_form_levels_too_large", "expect_misspelled",
-        "pairs_negative", "check_isometry_not_bool", "halfwidth_zero", "witness_shift_zero"])
+        "pairs_negative", "check_isometry_not_bool", "halfwidth_zero", "witness_shift_zero",
+        "unknown_key", "unknown_threshold_key", "unknown_closed_form_key",
+        "output_path_not_string", "output_path_empty", "output_path_absolute",
+        "output_path_parent", "output_path_summary"])
 def test_parse_rejects_field_before_running(fields, where):
     with pytest.raises(SpecParseError, match=where):
         parse_manifest(_scenario(**fields))
+
+
+def test_parse_rejects_duplicate_output_path():
+    # the later CSV would silently overwrite the earlier one
+    manifest = _scenario()
+    manifest["scenarios"].append(dict(manifest["scenarios"][0], name="t",
+                                      output_path="./s.csv"))
+    with pytest.raises(SpecParseError, match=r"scenarios\[1\]\.output_path: '\./s\.csv' "
+                       r"is also written by scenarios\[0\]"):
+        parse_manifest(manifest)
+
+
+def test_parse_rejects_unknown_manifest_key():
+    manifest = _scenario()
+    manifest["sede"] = 3
+    with pytest.raises(SpecParseError, match=r"manifest\.sede: unknown key"):
+        parse_manifest(manifest)
 
 
 def test_parse_fills_field_defaults():
@@ -391,4 +423,13 @@ def test_keyword_default_count_is_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
-    assert count == 60
+    assert count == 57
+
+
+def test_manifest_key_count_is_pinned():
+    # every key a manifest may carry, read from the tables that refuse the
+    # unknown ones; a new manifest option must change this count on purpose
+    count = (len(cli._MANIFEST) + len(cli._SCENARIO_KEYS) + len(cli._THRESHOLDS)
+             + sum(len(fields) for _, fields in cli._KINDS.values())
+             + len(cli._CLOSED_FORM_FIELDS))
+    assert count == 38

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import sici
 
-from alexnorm.errors import NonConvergentTail, ToleranceNotMet
+from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 from alexnorm.realfn import (Interval, Partition, PiecewiseLinearPrimitive,
                              build_primitive_from_pointwise, integral,
                              oscillation, variation)
@@ -232,38 +231,16 @@ def test_build_gaussian_total_mass():
     assert abs(P.limit_pos - math.sqrt(math.pi)) < 1e-10
 
 
-def test_build_oscillatory_tail_needs_acceleration():
+def test_build_oscillatory_tail_does_not_converge():
     f = lambda y: np.cos(np.asarray(y, dtype=float)) / np.asarray(y, dtype=float)
     with pytest.raises(NonConvergentTail):
         build_primitive_from_pointwise(f, (1.0, INF), 1e-8)
-    P = build_primitive_from_pointwise(f, (1.0, INF), 1e-8, tail_mode="accelerate")
-    # oracle: the cosine-integral closed form
-    expected = -float(sici(1.0)[1])
-    assert abs((P.limit_pos - P.eval(1.0)) - expected) < 1e-8
-    assert P.tail_estimated
 
 
-@pytest.mark.parametrize("mode", ["none", "extrapolat", ""])
-def test_build_rejects_unknown_tail_mode(mode):
-    # an unknown mode fails before f is sampled, on finite support too
-    calls = []
-
-    def f(y):
-        calls.append(y)
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    for support in ((0.0, 1.0), (-INF, INF)):
-        with pytest.raises(ValueError, match="tail_mode"):
-            build_primitive_from_pointwise(f, support, 1e-8, tail_mode=mode)
-    assert calls == []
-
-
-def test_build_declared_tail_values():
-    f = lambda y: np.exp(-np.abs(np.asarray(y, dtype=float)))
-    P = build_primitive_from_pointwise(f, (-INF, INF), 1e-10, tail_values=(0.0, 0.0),
-                                       core_halfwidth=40.0)
-    assert abs(P.limit_pos - 2.0) < 1e-9
-    assert not P.tail_estimated
+def test_evaluator_shape_mismatch_raises():
+    # evaluators are vectorized: a scalar answer to an array is refused
+    with pytest.raises(InvalidSpec, match=r"shape \(\) for input shape \(17,\)"):
+        build_primitive_from_pointwise(lambda y: 1.0, (0.0, 1.0), 1e-8)
 
 
 def test_build_panel_budget_exhaustion():
