@@ -7,8 +7,8 @@ The norm of an integrable object f with primitive F is
 
 so every norm here is an oscillation computation on a primitive.  Translation
 gaps ||tau_x f - f|| reduce to the oscillation of y -> F(y-x) - F(y), which is
-computed exactly on merged breakpoints for table representations and by dense
-grids plus local refinement for closed forms.
+taken at the merged breakpoints and the real derivative roots for tables and
+Chebyshev panels, and by dense grids plus local refinement for closed forms.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (InvalidSpec, NonConvergentTail, NotAbsolutelyIntegrable)
 from .realfn import (ClosedFormPrimitive, Integrand, Interval,
-                     PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
-                     Primitive, _call_vec, build_primitive_from_pointwise,
+                     PiecewiseLinearPrimitive, Primitive, _call_vec,
+                     _critical_points, build_primitive_from_pointwise,
                      gauss_nodes, grid_extrema)
 
 @dataclass(frozen=True)
@@ -79,26 +78,24 @@ def translate(f: Integrand, x: float) -> Integrand:
 def _difference_extrema(F: Primitive, x: float):
     """(min, max) over the extended line of H(y) = F(y-x) - F(y).
 
-    Both limits of H vanish, so 0 always joins the candidate set.  Exact for
-    piecewise-linear tables (H is piecewise linear on merged breakpoints).
+    Both limits of H vanish, so 0 always joins the candidate set.  Tables and
+    Chebyshev panels take H at the merged edges and the real roots of
+    H' = f(.-x) - f (machine-exact); closed forms are grid estimates.
     """
     if x == 0.0:
         return 0.0, 0.0
-    if isinstance(F, PiecewiseLinearPrimitive):
-        nodes = np.union1d(F.xs, F.xs + x)
+    f = F.pieces(True)
+    if f is not None:
+        nodes = _critical_points([(1.0, x, f), (-1.0, 0.0, f)])
         H = F.eval(nodes - x) - F.eval(nodes)
         return min(float(H.min()), 0.0), max(float(H.max()), 0.0)
     lo, hi = F.support_window()
     window = (min(lo, lo + x) - abs(x), max(hi, hi + x) + abs(x))
     ev = lambda y: F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float))
-    bp = F.breakpoints()
-    if isinstance(F, ClosedFormPrimitive) and F.support is not None:
-        # F has kinks where its declared support ends; H often peaks there
-        bp = np.asarray(F.support_window())
-    if len(bp):
-        return grid_extrema(ev, window, levels=14, seeds=tuple(np.union1d(bp, bp + x)),
-                            include=(0.0,))
-    return grid_extrema(ev, window, levels=17, include=(0.0,))
+    # F has kinks where a declared support ends; H often peaks there
+    bp = np.asarray(F.support_window() if F.support is not None else ())
+    return grid_extrema(ev, window, levels=14 if len(bp) else 17,
+                        seeds=tuple(np.union1d(bp, bp + x)), include=(0.0,))
 
 
 def translation_gap(f: Integrand, x: float) -> float:
@@ -227,9 +224,6 @@ def verify_slow_decay(f: Integrand, spec: DecaySpec, xs: Sequence[float],
 # Smooth bumps and the two-sided oscillation bound
 # ---------------------------------------------------------------------------
 
-_PHI_D_MAX_CACHE: List[float] = []
-
-
 def _phi(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
@@ -250,13 +244,8 @@ def _phi_prime(t: np.ndarray) -> np.ndarray:
 
 
 def _phi_prime_max() -> float:
-    # sup |phi'| on (-1, 1), solved once from the closed form
-    if not _PHI_D_MAX_CACHE:
-        res = minimize_scalar(lambda t: -abs(float(_phi_prime(np.asarray([t]))[0])),
-                              bounds=(0.0, 1.0 - 1e-12), method="bounded",
-                              options={"xatol": 1e-14})
-        _PHI_D_MAX_CACHE.append(abs(float(_phi_prime(np.asarray([res.x]))[0])))
-    return _PHI_D_MAX_CACHE[0]
+    # sup |phi'| on (-1, 1): phi'' vanishes where 6 t^4 = 2
+    return abs(float(_phi_prime(np.asarray([3.0 ** -0.25]))[0]))
 
 
 @dataclass(frozen=True)
@@ -330,12 +319,24 @@ def _window_values_closed(F: Primitive, a_pts: np.ndarray, x: float) -> np.ndarr
     return hw * vals @ wts
 
 
+def _window_critical(F: Primitive, x: float) -> Optional[np.ndarray]:
+    """W(a) = integral of F over [a-x, a] at the merged edges and the real
+    roots of W' = F - F(.-x), in increasing a: W is monotone in between.
+    None for a closed form."""
+    Fp = F.pieces(False)
+    if Fp is None:
+        return None
+    a = _critical_points([(1.0, 0.0, Fp), (-1.0, x, Fp)])
+    return F.window_integral(a - x, a)
+
+
 def primitive_gap_norm(f: Integrand, x: float) -> float:
     """||tau_x F - F||: the norm of the primitive-difference function.
 
     Realized through the moving-window integral W(a) = integral of F over
     [a-x, a], whose limits are x * F(-inf) and x * F(+inf); the norm is the
-    oscillation of W over the extended line.  Exact for node tables.
+    oscillation of W over the extended line.  Machine-exact for tables and
+    Chebyshev panels, a grid estimate for closed forms.
     """
     F = f.primitive
     if x == 0.0:
@@ -345,34 +346,14 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     if x < 0:
         # W for a negative window orientation differs by sign only
         return primitive_gap_norm(f, -x)
-    lim_lo = x * F.limit_neg
-    lim_hi = x * F.limit_pos
-
-    if isinstance(F, (PiecewiseLinearPrimitive, PiecewiseChebyshevPrimitive)):
-        bp = F.breakpoints()
-        nodes = np.union1d(bp, bp + x)
-        # W' = F(a) - F(a-x); between merged nodes both terms are smooth, so
-        # bracket interior critical points from sign changes on a fill grid
-        fill = np.linspace(nodes[0], nodes[-1], 4097)
-        all_pts = np.union1d(nodes, fill)
-        d = F.eval(all_pts) - F.eval(all_pts - x)
-        flips = np.nonzero(np.diff(np.signbit(d)))[0]
-        l, r = all_pts[flips], all_pts[flips + 1]
-        dl, dr = d[flips], d[flips + 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # dl == dr only for a +0/-0 pair, whose bracket midpoint is taken
-            roots = np.where(dl == dr, 0.5 * (l + r), l + dl * (r - l) / (dl - dr))
-        cand = np.concatenate([nodes, roots])
-        W = F.window_integral(cand - x, cand)
-        mn = min(float(W.min()), lim_lo, lim_hi)
-        mx = max(float(W.max()), lim_lo, lim_hi)
-        return mx - mn
-
-    lo, hi = F.support_window()
-    window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)
-    ev = lambda a: _window_values_closed(F, np.asarray(a, dtype=float), x)
-    mn, mx = grid_extrema(ev, window, levels=14, include=(lim_lo, lim_hi))
-    return mx - mn
+    W = _window_critical(F, x)
+    if W is None:
+        lo, hi = F.support_window()
+        window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)
+        ev = lambda a: _window_values_closed(F, np.asarray(a, dtype=float), x)
+        W = np.asarray(grid_extrema(ev, window, levels=14))
+    W = np.r_[W, x * F.limit_neg, x * F.limit_pos]
+    return float(W.max() - W.min())
 
 
 def one_norm(f: Integrand) -> float:
@@ -394,31 +375,17 @@ def one_norm(f: Integrand) -> float:
 
 
 def primitive_gap_l1(f: Integrand, x: float) -> float:
-    """integral of |F(y-x) - F(y)| dy, for absolutely integrable f (to 1e-10)."""
+    """integral of |F(y-x) - F(y)| dy, for absolutely integrable f: the
+    variation of W (machine-exact) for tables and panels without tail
+    estimates, else the adaptive builder's integral of |H| to 1e-10."""
     F = f.primitive
     if x == 0.0:
         return 0.0
-    if isinstance(F, PiecewiseLinearPrimitive):
-        nodes = np.union1d(F.xs, F.xs + x)
-        H = F.eval(nodes - x) - F.eval(nodes)
-        total = 0.0
-        for i in range(len(nodes) - 1):
-            h0, h1 = H[i], H[i + 1]
-            dt = nodes[i + 1] - nodes[i]
-            if h0 * h1 < 0:
-                # split the linear segment at its zero crossing
-                t0 = h0 / (h0 - h1)
-                total += 0.5 * dt * (abs(h0) * t0 + abs(h1) * (1.0 - t0))
-            else:
-                total += 0.5 * dt * (abs(h0) + abs(h1))
-        return total
-
+    W = None if F.tail_estimated else _window_critical(F, x)
+    if W is not None:
+        return float(np.abs(np.diff(W)).sum())
     ev = lambda y: np.abs(F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float)))
     lo, hi = F.support_window()
-    if isinstance(F, PiecewiseChebyshevPrimitive) and not F.tail_estimated:
-        window = Interval(min(lo, lo + x), max(hi, hi + x))
-        P = build_primitive_from_pointwise(ev, window, 1e-10)
-        return P.limit_pos
     core = max(abs(lo), abs(hi), 8.0) + abs(x)
     try:
         P = build_primitive_from_pointwise(ev, Interval(-math.inf, math.inf), 1e-10,

@@ -140,6 +140,7 @@ class Primitive:
     limit_neg: float
     limit_pos: float
     label: str
+    tail_estimated = False  # limits carry an estimated tail mass
 
     def eval(self, x):
         raise NotImplementedError
@@ -187,6 +188,12 @@ class Primitive:
 
     def pointwise_derived(self) -> Optional[Evaluator]:
         """Derivative evaluator recovered from the representation, if exact."""
+        return None
+
+    def pieces(self, derivative: bool) -> Optional[tuple]:
+        """(edges, rows, below, above): per panel the Chebyshev coefficient
+        rows (local coordinates) of f = F' when derivative is true, else of F,
+        and the values left and right of the panels.  None for a closed form."""
         return None
 
     def total_variation(self) -> Optional[float]:
@@ -268,6 +275,12 @@ class PiecewiseLinearPrimitive(Primitive):
 
         return step
 
+    def pieces(self, derivative):
+        xs, ys = self.xs, self.ys
+        if derivative:
+            return xs, (np.diff(ys) / np.diff(xs))[:, None], 0.0, 0.0
+        return xs, np.c_[ys[1:] + ys[:-1], np.diff(ys)] * 0.5, float(ys[0]), float(ys[-1])
+
     def total_variation(self):
         return float(np.abs(np.diff(self.ys)).sum())
 
@@ -324,21 +337,6 @@ class PiecewiseChebyshevPrimitive(Primitive):
                    at_neg: float, at_pos: float):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        if x.size == 1:
-            # one point (minimize_scalar, scalar eval): the same float
-            # operations as below without the masks
-            t = float(x.reshape(()))
-            if t <= self.edges[0]:
-                v = at_neg if t == -math.inf else below
-            elif t >= self.edges[-1]:
-                v = at_pos if t == math.inf else above
-            else:  # NaN lands here and stays NaN
-                i = min(int(np.searchsorted(self.edges, t, side="right")) - 1,
-                        len(self.edges) - 2)
-                a, b = self.edges[i], self.edges[i + 1]
-                xi = np.clip((2.0 * x.reshape(1) - a - b) / (b - a), -1.0, 1.0)
-                v = _cheb.chebval(xi, coef_rows[i])[0]
-            return float(v) if scalar else np.full(x.shape, v)
         x = np.atleast_1d(x)
         out = np.empty_like(x)
         lo_mask = x <= self.edges[0]
@@ -353,9 +351,10 @@ class PiecewiseChebyshevPrimitive(Primitive):
             a, b = self.edges[idx], self.edges[idx + 1]
             xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
             vals = np.empty_like(xm)
-            for i in np.unique(idx):
-                m = idx == i
-                vals[m] = _cheb.chebval(xi[m], coef_rows[i])
+            # one contiguous run of points per panel, each through chebval
+            order = np.argsort(idx, kind="stable")
+            for run in np.split(order, np.flatnonzero(np.diff(idx[order])) + 1):
+                vals[run] = _cheb.chebval(xi[run], coef_rows[idx[run[0]]])
             out[mid] = vals
         out[np.isneginf(x)] = at_neg
         out[np.isposinf(x)] = at_pos
@@ -396,40 +395,25 @@ class PiecewiseChebyshevPrimitive(Primitive):
         out.limit_pos = self.limit_pos * c
         return out
 
-    def _panel_critical(self, i: int) -> np.ndarray:
-        """Local coordinates of the derivative's real roots inside panel i."""
-        cf = _cheb.chebtrim(self.fc[i], tol=0.0)
-        if len(cf) <= 1:
-            return np.empty(0)
-        roots = _cheb.chebroots(cf)
-        roots = roots[np.abs(roots.imag) < 1e-9].real
-        return roots[(roots > -1.0) & (roots < 1.0)]
+    def pieces(self, derivative):
+        if derivative:
+            return self.edges, self.fc, 0.0, 0.0
+        return self.edges, self.Fc, float(self.F_edges[0]), float(self.F_edges[-1])
+
+    def _critical_values(self) -> np.ndarray:
+        # F at its edges and at the real roots of f, in increasing order
+        if "crit" not in self._extrema_cache:
+            t = _critical_points([(1.0, 0.0, self.pieces(True))])
+            self._extrema_cache["crit"] = self.eval(t)
+        return self._extrema_cache["crit"]
 
     def extrema(self):
-        key = "ext"
-        if key not in self._extrema_cache:
-            lo = min(float(self.F_edges.min()), self.limit_neg, self.limit_pos)
-            hi = max(float(self.F_edges.max()), self.limit_neg, self.limit_pos)
-            for i in range(len(self.fc)):
-                xi = self._panel_critical(i)
-                if len(xi):
-                    vals = _cheb.chebval(xi, self.Fc[i])
-                    lo = min(lo, float(np.min(vals)))
-                    hi = max(hi, float(np.max(vals)))
-            self._extrema_cache[key] = (lo, hi)
-        return self._extrema_cache[key]
+        vals = self._critical_values()
+        return (min(float(vals.min()), self.limit_neg, self.limit_pos),
+                max(float(vals.max()), self.limit_neg, self.limit_pos))
 
     def total_variation(self):
-        key = "tv"
-        if key not in self._extrema_cache:
-            total = 0.0
-            for i in range(len(self.fc)):
-                xi = np.sort(self._panel_critical(i))
-                nodes = np.concatenate([[-1.0], xi, [1.0]])
-                vals = _cheb.chebval(nodes, self.Fc[i])
-                total += float(np.abs(np.diff(vals)).sum())
-            self._extrema_cache[key] = total
-        return self._extrema_cache[key]
+        return float(np.abs(np.diff(self._critical_values())).sum())
 
     def _antideriv_at(self, t):
         if self._SF is None:
@@ -659,6 +643,55 @@ def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[flo
         lo = min(lo, float(c))
         hi = max(hi, float(c))
     return lo, hi
+
+
+def _critical_points(terms) -> np.ndarray:
+    """Sorted merged edges and real roots of a sum of terms (sign, shift,
+    piece): sign times a ``Primitive.pieces`` series moved right by shift.
+    Callers pass the derivative of the function they want the extrema or the
+    variation of, and evaluate that function at these points.
+
+    The sum is resampled at as many Chebyshev nodes as its widest row on each
+    merged panel.  Rows with |c_0| > sum_{k>=1} |c_k| have no root in [-1, 1];
+    the rest, trimmed at rounding level, take the eigenvalues of numpy's
+    colleague matrices, one eigvals call per degree (Boyd, SIAM J. Numer.
+    Anal. 40, 2002; Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004)."""
+    edges = np.unique(np.concatenate([p[0] + s for _, s, p in terms]))
+    mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    coef = terms[0][2][1]  # one unshifted term keeps its own rows
+    if len(terms) > 1 or terms[0][1] != 0.0:
+        nodes, M = _cheb_fit_matrix(max(p[1].shape[1] for _, _, p in terms))
+        t = mid[:, None] + hw[:, None] * nodes
+        vals = np.zeros_like(t)
+        for sign, s, (e, rows, below, above) in terms:
+            i = np.searchsorted(e, mid - s, side="right") - 1
+            v = np.where((i < 0)[:, None], below, above + 0.0 * t)
+            inside = np.flatnonzero((i >= 0) & (i < len(e) - 1))
+            a, b = e[i[inside], None], e[i[inside] + 1, None]
+            xi = np.clip((2.0 * (t[inside] - s) - a - b) / (b - a), -1.0, 1.0)
+            v[inside] = _cheb.chebval(xi, rows[i[inside]].T[:, :, None], tensor=False)
+            vals += sign * v
+        coef = vals @ M.T
+    keep = np.flatnonzero(np.abs(coef[:, 0]) <= np.abs(coef[:, 1:]).sum(axis=1))
+    c, mid, hw = coef[keep], mid[keep], hw[keep]
+    big = np.abs(c) > _EPS * np.abs(c).max(axis=1, initial=0.0)[:, None]
+    deg = np.where(big, np.arange(c.shape[1]), 0).max(axis=1, initial=0)
+    found = [edges]
+    for n in np.unique(deg[deg > 0]):
+        cn = c[deg == n, :n + 1]
+        if n == 1:
+            r = -cn[:, :1] / cn[:, 1:] + 0j
+        else:  # chebcompanion's scaled matrices, rotated as chebroots does
+            scl = np.r_[1.0, np.full(n - 1, math.sqrt(0.5))]
+            k = np.arange(n - 1)
+            A = np.zeros((len(cn), n, n))
+            A[:, k, k + 1] = A[:, k + 1, k] = np.r_[math.sqrt(0.5), np.full(n - 2, 0.5)]
+            A[:, :, -1] -= (cn[:, :-1] / cn[:, -1:]) * (scl / scl[-1]) * 0.5
+            r = np.linalg.eigvals(A[:, ::-1, ::-1])
+        # near-double roots come out as complex pairs: real parts only add samples
+        real = (np.abs(r.imag) < 1e-6) & (np.abs(r.real) < 1.0)
+        found.append((mid[deg == n, None] + hw[deg == n, None] * r.real)[real])
+    return np.unique(np.concatenate(found))
 
 
 # ---------------------------------------------------------------------------

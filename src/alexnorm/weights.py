@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                      NonConvergentTail, NonIntegrableProduct, ToleranceNotMet)
 from .norms import GapReport, _difference_extrema, alexiewicz_norm, gap_sweep
-from .realfn import (Integrand, Interval, _as_interval, _call_vec,
-                     build_primitive_from_pointwise, grid_extrema, variation)
+from .realfn import (Integrand, Interval, _as_interval, _call_vec, _critical_points,
+                     build_primitive_from_pointwise, variation)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -378,9 +378,10 @@ def product_integrand(f, w: Weight, *, core_halfwidth: float = 64.0) -> Integran
 def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
                         core_halfwidth: float, *, x: float = 0.0, label: str = ""):
     """Primitive of h, pointwise data of f times values of w and its shift
-    by x.  The jumps of w and of w(. + x), and the table nodes of f, are
-    panel hints; a table f confines the support, and a closed-form f widens
-    the core window to its own."""
+    by x.  The jumps of w and of w(. + x), the table nodes of f and the ends
+    of a closed form's declared support (where f may jump) are panel hints;
+    a table f confines the support, and a closed-form f widens the core
+    window to its own."""
     wb = w.breakpoints()
     hints = list(wb) + list(wb - x)
     support = Interval(-math.inf, math.inf)
@@ -393,6 +394,8 @@ def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
             support = Interval(lo, hi)  # f vanishes outside its table
         else:
             core = max(core_halfwidth, abs(lo), abs(hi))
+            if f.primitive.support is not None:
+                hints.extend((lo, hi))
     try:
         return build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
                                               core_halfwidth=core, label=label)
@@ -445,21 +448,14 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tup
         w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float)))
     C = _weighted_primitive(corr, f, w, build_tol, 64.0, x=x)
 
-    def D(t):
-        t = np.asarray(t, dtype=float)
-        return G.eval(t - x) - G.eval(t) + C.eval(t - x)
-
-    glo, ghi = G.support_window()
-    clo, chi = C.support_window()
-    lo = min(glo, clo) - abs(x) - 1.0
-    hi = max(ghi, chi) + abs(x) + 1.0
-    seeds: list = []
-    for P in (G, C):
-        seeds.extend(P.breakpoints())
-        seeds.extend(P.breakpoints() + x)
-    mn, mx = grid_extrema(D, (lo, hi), levels=15, seeds=seeds,
-                          include=(0.0, C.limit_pos))
-    return mx - mn, C
+    g = G.pieces(True)
+    if g is None:  # a constant weight times a closed-form f, so C = 0
+        mn, mx = _difference_extrema(G, x)
+        return mx - mn, C
+    # D' = g(.-x) - g + c(.-x): D at the merged edges and its real roots
+    t = _critical_points([(1.0, x, g), (-1.0, 0.0, g), (1.0, x, C.pieces(True))])
+    D = np.r_[G.eval(t - x) - G.eval(t) + C.eval(t - x), 0.0, C.limit_pos]
+    return float(D.max() - D.min()), C
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ from alexnorm.norms import (DecaySpec, SmoothBump, alexiewicz_norm,
                             primitive_gap_l1, primitive_gap_norm, sinc_integrand,
                             slow_decay_construct, sweep_converged, translate,
                             translation_gap, verify_slow_decay)
-from alexnorm.realfn import Integrand, PiecewiseLinearPrimitive
-from alexnorm.registry import get_function, indicator
+from alexnorm.poisson import halfplane_weighted_convergence
+from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive,
+                             PiecewiseLinearPrimitive, build_primitive_from_pointwise)
+from alexnorm.registry import get_function, get_weight, indicator
+from alexnorm.weights import weighted_gap_sweep
 
 INF = float("inf")
 
@@ -318,6 +321,83 @@ def test_primitive_gap_l1_bound_across_builtins():
 def test_primitive_gap_l1_rejects_sinc():
     with pytest.raises(NotAbsolutelyIntegrable):
         primitive_gap_l1(sinc_integrand(), 1.0)
+
+
+def trig_window_oracle(omega, phase, a, b, x):
+    """(norm, L1) of the primitive gap of f = sin(omega y + phase) on [a, b],
+    0 < x < b - a, from the closed-form antiderivative of F and the closed-form
+    zeros of W' = F - F(. - x) on [a, a + x], [a + x, b] and [b, b + x]."""
+    C0 = math.cos(omega * a + phase)
+    Fb = (C0 - math.cos(omega * b + phase)) / omega
+
+    def S(t):  # the integral of F from a to t
+        u = np.clip(t, a, b)
+        inner = (C0 * (u - a) - (np.sin(omega * u + phase)
+                                 - math.sin(omega * a + phase)) / omega) / omega
+        return inner + np.maximum(t - b, 0.0) * Fb
+
+    k = 2.0 * math.pi * np.arange(-int(omega * (b - a)) - 4, int(omega * (b - a)) + 4)
+    t = np.concatenate([[a, a + x, b, b + x], (k + omega * x - 2.0 * phase) / (2.0 * omega)]
+                       + [(s * (omega * a + phase) - phase + k) / omega for s in (1, -1)]
+                       + [x + (s * (omega * b + phase) - phase + k) / omega for s in (1, -1)])
+    t = np.unique(t[(t >= a) & (t <= b + x)])
+    W = S(t) - S(t - x)
+    norm = max(W.max(), 0.0, x * Fb) - min(W.min(), 0.0, x * Fb)
+    return float(norm), float(np.abs(np.diff(W)).sum())
+
+
+def test_primitive_gaps_exact_on_long_chebyshev_support():
+    # 1300 panels: the zeros of W' come from derivative roots, not a fill grid
+    f = lambda y: np.sin(5.0 * np.asarray(y, dtype=float) + 0.3)
+    P = build_primitive_from_pointwise(f, (-80.0, 80.0), 1e-10)
+    g = Integrand(P, f)
+    norm, l1 = trig_window_oracle(5.0, 0.3, -80.0, 80.0, 0.5)
+    assert primitive_gap_norm(g, 0.5) == pytest.approx(norm, rel=1e-10, abs=0.0)
+    assert primitive_gap_l1(g, 0.5) == pytest.approx(l1, rel=1e-10, abs=0.0)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) > 1e-3))
+@settings(max_examples=30, deadline=None)
+def test_translation_gap_brackets_dense_grid(seed, x):
+    # random polynomial densities on random panels: the root engine is never
+    # below a dense sampling of H = F(.-x) - F, and never above it by more
+    # than H's Lipschitz constant 2 sup|f| times the grid spacing
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(np.concatenate([[rng.uniform(-3.0, 0.0)],
+                                      rng.uniform(0.05, 2.0, rng.integers(1, 6))]))
+    fc = rng.uniform(-1.0, 1.0, (len(edges) - 1, rng.integers(1, 8)))
+    F = PiecewiseChebyshevPrimitive(edges, fc)
+    ys = np.linspace(min(edges[0], edges[0] + x), max(edges[-1], edges[-1] + x), 2 ** 15 + 1)
+    H = np.concatenate([F.eval(ys - x) - F.eval(ys), [0.0]])
+    sup_f = float(np.abs(fc).sum(axis=1).max())
+    gap = translation_gap(Integrand(F), x)
+    assert gap >= H.max() - H.min() - 1e-13
+    assert gap <= H.max() - H.min() + 2.0 * sup_f * (ys[1] - ys[0])
+
+
+def test_piecewise_polynomial_data_needs_no_grid_search(monkeypatch):
+    table = PiecewiseLinearPrimitive([-1.0, 0.0, 0.5, 2.0], [0.0, 1.0, -0.5, 0.25])
+    inputs = [Integrand(table, table.pointwise_derived()), get_function("ramp"),
+              get_function("bump")]
+    f01, rq = get_function("indicator_01"), get_weight("reciprocal_quadratic")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid search or adaptive rebuild on piecewise-polynomial data")
+
+    for target in ("alexnorm.realfn.grid_extrema", "alexnorm.norms.grid_extrema",
+                   "alexnorm.norms.build_primitive_from_pointwise"):
+        monkeypatch.setattr(target, no_grid)
+    # weights binds no grid_extrema of its own; a binding put back there is caught too
+    monkeypatch.setattr("alexnorm.weights.grid_extrema", no_grid, raising=False)
+    for f in inputs:
+        assert alexiewicz_norm(f) > 0.0
+        assert len(gap_sweep(f, [0.5, -0.25])) == 2
+        assert primitive_gap_norm(f, 0.5) > 0.0
+        assert primitive_gap_l1(f, 0.5) > 0.0
+    assert all(r.passed for r in weighted_gap_sweep(f01, rq, [0.5, 0.1]))
+    row, = halfplane_weighted_convergence(f01, rq, [1.0], (-4.0, 4.0))
+    assert row.gap <= row.bound_upper
 
 
 def test_one_norm_values():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
-from alexnorm.realfn import (Interval, Partition, PiecewiseLinearPrimitive,
+from alexnorm.realfn import (Interval, Partition, PiecewiseChebyshevPrimitive,
+                             PiecewiseLinearPrimitive, _critical_points,
                              build_primitive_from_pointwise, integral,
                              oscillation, variation)
 from alexnorm.registry import get_function, indicator
@@ -155,10 +156,41 @@ def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
 
 
 @pytest.mark.parametrize("name", ["cheb", "tail"])
+def test_cheb_eval_matches_per_panel_mask_loop(window_primitives, name):
+    # reference: the per-panel boolean-mask loop that the sorted runs replaced
+    F = window_primitives[name]
+    e = F.edges
+    rng = np.random.default_rng(7)
+    x = rng.permutation(np.concatenate([rng.uniform(e[0] - 1.0, e[-1] + 1.0, 3000), e]))
+    idx = np.clip(np.searchsorted(e, x, side="right") - 1, 0, len(e) - 2)
+    xi = np.clip((2.0 * x - e[idx] - e[idx + 1]) / (e[idx + 1] - e[idx]), -1.0, 1.0)
+    ref = np.empty_like(x)
+    for i in np.unique(idx):
+        m = idx == i
+        ref[m] = np.polynomial.chebyshev.chebval(xi[m], F.Fc[i])
+    ref[x <= e[0]] = F.F_edges[0]
+    ref[x >= e[-1]] = F.F_edges[-1]
+    assert np.array_equal(F.eval(x), ref)
+
+
+def test_critical_points_match_chebroots_per_panel():
+    # reference: numpy's chebroots panel by panel, real roots inside (-1, 1)
+    rng = np.random.default_rng(3)
+    edges = np.cumsum(rng.uniform(0.1, 1.0, 41))
+    fc = rng.normal(size=(40, 17))
+    want = [edges]
+    for i, row in enumerate(fc):
+        r = np.polynomial.chebyshev.chebroots(row)
+        r = r[(np.abs(r.imag) < 1e-6) & (np.abs(r.real) < 1.0)].real
+        want.append(0.5 * (edges[i] + edges[i + 1]) + 0.5 * (edges[i + 1] - edges[i]) * r)
+    got = _critical_points([(1.0, 0.0, PiecewiseChebyshevPrimitive(edges, fc).pieces(True))])
+    assert np.array_equal(got, np.unique(np.concatenate(want)))
+
+
+@pytest.mark.parametrize("name", ["cheb", "tail"])
 def test_cheb_eval_single_point_matches_array_path(window_primitives, name):
-    # one point goes through its own path; it must give the bits the same
-    # point gets inside a larger array, as a float for scalar input and with
-    # its shape kept for a one-element array
+    # one point must give the bits the same point gets inside a larger array,
+    # as a float for scalar input and with its shape kept for a one-element array
     F = window_primitives[name]
     e = F.edges
     assert len(e) > 3

@@ -315,6 +315,27 @@ def test_weight_caches_are_stable(rq):
     assert v1 == v2
 
 
+def test_weighted_gap_hints_closed_form_support_ends():
+    # cosine jumps at +-pi; the exact gap is the oscillation of
+    # D(t) = int_{-inf}^t (f(s - x) - f(s)) w(s) ds, taken in closed form (F is sin
+    # on [-pi, pi]) at every jump of f(. - x), f and w and every zero of the integrand
+    bps = np.asarray([-1.2547, -0.1599, 1.9297])
+    vals = np.asarray([1.9481, 1.8795, 2.4322, 1.4438])
+    x = 0.125
+    F = lambda y: np.where(np.abs(y) <= math.pi, np.sin(y), 0.0)
+    k = math.pi * np.arange(-3, 4)
+    t = np.concatenate([[-math.pi, math.pi, x - math.pi, x + math.pi], bps,
+                        0.5 * x + k, x + 0.5 * math.pi + k, 0.5 * math.pi + k])
+    t = np.unique(t[(t >= -math.pi) & (t <= math.pi + x)])
+    p, q = t[:-1], t[1:]
+    w_piece = vals[np.searchsorted(bps, 0.5 * (p + q), side="right")]
+    D = np.cumsum(np.concatenate([[0.0], w_piece * (F(q - x) - F(p - x) - F(q) + F(p))]))
+    want = D.max() - D.min()
+    got = weighted_gap_sweep(get_function("cosine"), Weight.piecewise_constant(bps, vals),
+                             [x])[0].gap
+    assert got == pytest.approx(want, abs=1e-10)
+
+
 def test_breakpoints_empty_without_nodes(rq):
     # "no nodes" is an empty float array for primitives and weights alike
     for owner in (get_function("gaussian").primitive, rq, Weight.constant(2.0)):
