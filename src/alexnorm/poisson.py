@@ -101,8 +101,10 @@ def poisson_disc(f: PeriodicIntegrand, r: float, theta: float) -> float:
     Smooth data takes the periodic midpoint rule from 64 up to 2^19 nodes, to 1e-10."""
     if r < 0:
         raise ValueError("the radius must be nonnegative")
-    if r >= 1.0:
+    if not r < 1.0:
         raise KernelSingularity(f"radius {r} is not inside the unit disc")
+    if not math.isfinite(theta):
+        raise KernelSingularity(f"angle {theta} is not finite")
     pieces = f.pieces()
     if pieces is not None:
         edges, values = pieces
@@ -155,8 +157,8 @@ class HalfPlanePoint:
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError("half-plane points need y > 0")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0):
+            raise ValueError("half-plane points need finite x and y > 0")
 
 
 def halfplane_kernel(y: float, u) -> np.ndarray:
@@ -181,6 +183,19 @@ class KernelPair:
     psi_lim_pos: float
 
 
+def _psi(w: Weight, x, y: float, t: np.ndarray) -> np.ndarray:
+    """Psi_z(t) = Phi_y(x - t) / w(t), elementwise in x and t."""
+    return halfplane_kernel(y, x - t) / w(t)
+
+
+def _psi_prime(w: Weight, x, y: float, t: np.ndarray) -> np.ndarray:
+    """Psi_z'(t), elementwise in x and t, from the weight's declared derivative."""
+    wv = w(t)
+    u = x - t
+    phi_prime = (y / math.pi) * 2.0 * u / (u * u + y * y) ** 2
+    return (phi_prime * wv - halfplane_kernel(y, u) * w.derivative(t)) / (wv * wv)
+
+
 def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
     x, y = z.x, z.y
 
@@ -188,18 +203,10 @@ def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
         return halfplane_kernel(y, x - np.asarray(t, dtype=float))
 
     def Psi(t):
-        t = np.asarray(t, dtype=float)
-        return Phi(t) / w(t)
-
-    def Phi_prime(t):
-        t = np.asarray(t, dtype=float)
-        u = x - t
-        return (y / math.pi) * 2.0 * u / (u * u + y * y) ** 2
+        return _psi(w, x, y, np.asarray(t, dtype=float))
 
     def Psi_prime(t):
-        t = np.asarray(t, dtype=float)
-        wv = w(t)
-        return (Phi_prime(t) * wv - Phi(t) * w.derivative(t)) / (wv * wv)
+        return _psi_prime(w, x, y, np.asarray(t, dtype=float))
 
     if w.kernel_ratio_limit is not None:
         lim_neg, lim_pos = w.kernel_ratio_limit(z)
@@ -238,41 +245,70 @@ class HalfPlaneOperator:
         self.G_inf = self.G.limit_pos
 
     def value(self, z: HalfPlanePoint, tol: float = 1e-6) -> float:
-        kp = kernel_pair(self.w, z)
-        G = self.G
-        T = max(50.0 * z.y, 50.0)
+        return float(self.values(np.asarray([z.x]), z.y, tol)[0])
+
+    def values(self, xs, y: float, tol: float) -> np.ndarray:
+        """u_y at every x of a 1-d array xs.  Each point runs its own window
+        doubling and panel sums; the panel nodes of all points share one
+        G.eval and one Psi_z' call."""
+        pts = [HalfPlanePoint(float(x), y) for x in np.asarray(xs, dtype=float)]
+        if not pts:
+            return np.empty(0)
+        xs = np.asarray([z.x for z in pts])
+        kps = [kernel_pair(self.w, z) for z in pts]
+        lim_neg = np.asarray([kp.psi_lim_neg for kp in kps])
+        lim_pos = np.asarray([kp.psi_lim_pos for kp in kps])
+        G, w = self.G, self.w
+        TL, TR, psiL, psiR, GL = np.empty((5, len(xs)))
+        # the points whose tail bound is not yet met, with their x, window
+        # half-width and kernel limits
+        todo, x, T = np.arange(len(xs)), xs, np.full(len(xs), max(50.0 * y, 50.0))
+        lo, hi = lim_neg, lim_pos
         for _ in range(14):
-            TL, TR = z.x - T, z.x + T
-            psiR = float(_call_vec(kp.Psi, np.asarray([TR]))[0])
-            psiL = float(_call_vec(kp.Psi, np.asarray([TL]))[0])
-            dR = abs(kp.psi_lim_pos - psiR)
-            dL = abs(psiL - kp.psi_lim_neg)
-            GL = G.eval(TL)
+            tl, tr = x - T, x + T
+            pr, pl = _psi(w, x, y, tr), _psi(w, x, y, tl)
+            gl = G.eval(tl)
             # residual after the first-order tail corrections below; the
             # factor 2 covers non-monotone kernel tails
-            resid = 2.0 * (abs(self.G_inf - G.eval(TR)) * dR + abs(GL) * dL)
-            if resid <= 0.5 * tol:
+            resid = 2.0 * (np.abs(self.G_inf - G.eval(tr)) * np.abs(hi - pr)
+                           + np.abs(gl) * np.abs(pl - lo))
+            TL[todo], TR[todo], psiR[todo], psiL[todo], GL[todo] = tl, tr, pr, pl, gl
+            unmet = ~(resid <= 0.5 * tol)  # a NaN bound is never met
+            if not unmet.any():
                 break
-            T *= 2.0
+            todo, x, T, lo, hi = todo[unmet], x[unmet], 2.0 * T[unmet], lo[unmet], hi[unmet]
         else:
             raise TailBoundFailure(
-                f"tail bound {resid:.3e} above {0.5 * tol:.3e} after window doubling")
+                f"tail bound {resid[unmet].max():.3e} above {0.5 * tol:.3e} "
+                "after window doubling")
 
-        # 32 Gauss-Legendre nodes per panel, one row each, evaluated in one
-        # call; the rows are summed panel by panel, left to right
-        edges = self._panel_edges(z, TL, TR)
+        # 32 Gauss-Legendre nodes per panel, one row each; the rows of all
+        # points are evaluated in one call, then summed point by point, panel
+        # by panel, left to right
         nodes, wts = gauss_nodes(32)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        hws = 0.5 * (edges[1:] - edges[:-1])
-        ts = (mids[:, None] + hws[:, None] * nodes).ravel()
-        rows = (G.eval(ts) * kp.Psi_prime(ts)).reshape(len(hws), len(nodes))
-        quad = 0.0
-        for hw, row in zip(hws, rows):
-            quad += hw * float(np.dot(wts, row))
-        # first-order tail corrections: G ~ G_inf right of TR, G ~ G(TL) left
-        quad += self.G_inf * (kp.psi_lim_pos - psiR)
-        quad += GL * (psiL - kp.psi_lim_neg)
-        return self.G_inf * kp.psi_lim_pos - quad
+        hws, ts = [], []
+        for z, tl, tr in zip(pts, TL.tolist(), TR.tolist()):
+            edges = self._panel_edges(z, tl, tr)
+            hw = 0.5 * (edges[1:] - edges[:-1])
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            hws.append(hw)
+            ts.append((mids[:, None] + hw[:, None] * nodes).ravel())
+        xr = np.repeat(xs, [len(t) for t in ts])
+        ts = np.concatenate(ts)
+        rows = (G.eval(ts) * _psi_prime(w, xr, y, ts)).reshape(-1, len(nodes))
+        out = []
+        first = 0
+        for hw_i, ln, lp, pl, pr, gl in zip(hws, lim_neg.tolist(), lim_pos.tolist(),
+                                            psiL.tolist(), psiR.tolist(), GL.tolist()):
+            quad = 0.0
+            for hw, row in zip(hw_i, rows[first:first + len(hw_i)]):
+                quad += hw * float(np.dot(wts, row))
+            first += len(hw_i)
+            # first-order tail corrections: G ~ G_inf right of TR, G ~ G(TL) left
+            quad += self.G_inf * (lp - pr)
+            quad += gl * (pl - ln)
+            out.append(self.G_inf * lp - quad)
+        return np.asarray(out)
 
     def _panel_edges(self, z: HalfPlanePoint, TL: float, TR: float) -> np.ndarray:
         offs = [0.0]
@@ -318,8 +354,7 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
     for y in sorted(ys, key=lambda t: -abs(t)):
         def err(t, y=y):
             t = np.asarray(t, dtype=float)
-            u = np.asarray([op.value(HalfPlanePoint(float(ti), y), tol=1e-6)
-                            for ti in np.ravel(t)])
+            u = op.values(np.ravel(t), y, 1e-6)
             return (u.reshape(t.shape) - _call_vec(fp, t)) * w(t)
 
         P = build_primitive_from_pointwise(err, I, build_tol, breakpoints=hints)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from alexnorm.cli import serialize_poisson_reports
-from alexnorm.errors import InvalidSpec, KernelSingularity, NonIntegrableProduct
+from alexnorm import poisson
+from alexnorm.errors import (InvalidSpec, KernelSingularity, NonIntegrableProduct,
+                             TailBoundFailure)
 from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               PeriodicIntegrand, disc_boundary_convergence,
                               disc_kernel, disc_kernel_mass,
@@ -95,6 +97,10 @@ def test_poisson_disc_singularity(one_period):
         poisson_disc(one_period, 1.5, 0.0)
     with pytest.raises(ValueError):
         poisson_disc(one_period, -0.1, 0.0)
+    # non-finite input is refused, never carried into a NaN value
+    for r, theta in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(KernelSingularity):
+            poisson_disc(one_period, r, theta)
 
 
 def test_disc_boundary_convergence_indicator(chi_half):
@@ -146,6 +152,10 @@ def test_halfplane_point_validation():
         HalfPlanePoint(0.0, 0.0)
     with pytest.raises(ValueError):
         HalfPlanePoint(0.0, -1.0)
+    for x, y in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                 (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            HalfPlanePoint(x, y)
 
 
 def test_poisson_halfplane_constant(rq):
@@ -252,16 +262,66 @@ def _cubic():
     return Integrand(F, F.pointwise_derived(), "cubic")
 
 
-@pytest.mark.parametrize("pair", ["table_rq", "table_const2", "cheb_rq"])
+@pytest.mark.parametrize("pair", ["table_rq", "table_const2", "cheb_rq", "cheb_const2"])
 def test_halfplane_value_matches_per_panel_reference(rq, pair):
+    # the constant weight has no kernel_ratio_limit: its limits take _psi_limit
     f, w = {"table_rq": (get_function("indicator_01"), rq),
             "table_const2": (get_function("indicator_01"), Weight.constant(2.0)),
-            "cheb_rq": (_cubic(), rq)}[pair]
+            "cheb_rq": (_cubic(), rq),
+            "cheb_const2": (_cubic(), Weight.constant(2.0))}[pair]
     op = HalfPlaneOperator(f, w)
-    # inside, near the boundary, left of the support, and far to the right
-    for x, y in ((0.5, 0.5), (0.2, 1e-3), (-1.0, 2.0), (40.0, 0.5)):
-        z = HalfPlanePoint(x, y)
-        assert op.value(z) == _value_per_panel(op, z), (x, y)
+    # inside, near the support's edge, left of it and far to the right; the
+    # last two points take 2 and 4 to 6 window doublings, the others none
+    # (except with the constant weight at y = 1e-3)
+    xs = np.asarray([0.5, 0.2, -1.0, 40.0, 130.0, 3000.0])
+    for y in (1e-3, 0.5):
+        ref = [_value_per_panel(op, HalfPlanePoint(float(x), y)) for x in xs]
+        assert list(op.values(xs, y, 1e-6)) == ref, y
+        for x, r in zip(xs, ref):
+            assert op.value(HalfPlanePoint(float(x), y)) == r, (x, y)
+
+
+def test_halfplane_values_share_one_quadrature_call(rq, monkeypatch):
+    # k points: k kernel pairs, and one G.eval and one Psi_z' call over all
+    # their panel nodes (the window doubling evaluates G at the k window ends)
+    op = HalfPlaneOperator(get_function("indicator_01"), rq)
+    xs = np.asarray([0.5, 0.2, -1.0, 40.0, 3.0])
+    calls = {"kernel_pair": 0, "_psi_prime": 0, "nodes": []}
+    G_eval = op.G.eval
+
+    def counted(name):
+        inner = getattr(poisson, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    def G_counted(t):
+        if np.size(t) > len(xs):
+            calls["nodes"].append(np.size(t))
+        return G_eval(t)
+
+    monkeypatch.setattr(poisson, "kernel_pair", counted("kernel_pair"))
+    monkeypatch.setattr(poisson, "_psi_prime", counted("_psi_prime"))
+    monkeypatch.setattr(op.G, "eval", G_counted)
+    op.values(xs, 0.5, 1e-6)
+    assert calls["kernel_pair"] == len(xs)
+    assert calls["_psi_prime"] == 1
+    assert len(calls["nodes"]) == 1 and calls["nodes"][0] % 32 == 0
+
+
+def test_halfplane_values_tail_failure(rq):
+    op = HalfPlaneOperator(ONE, rq)
+    with pytest.raises(TailBoundFailure):
+        op.values(np.asarray([0.5, 3.0]), 0.5, 1e-300)
+    # a one-point batch reports its own residual
+    with pytest.raises(TailBoundFailure) as info:
+        op.values(np.asarray([0.5]), 0.5, 1e-300)
+    assert str(info.value) == "tail bound 3.795e-10 above 5.000e-301 after window doubling"
+    with pytest.raises(TailBoundFailure) as info_value:
+        op.value(HalfPlanePoint(0.5, 0.5), tol=1e-300)
+    assert str(info_value.value) == str(info.value)
 
 
 def test_majorant_skips_weighted_gap_bound(rq, monkeypatch):
