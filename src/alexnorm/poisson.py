@@ -172,11 +172,10 @@ def halfplane_kernel_mass(y: float, a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class KernelPair:
-    """The half-plane kernel at a point z, paired with a weight: Phi(t),
+    """The half-plane kernel Phi at a point z, paired with a weight:
     Psi(t) = Phi(t)/w(t), its derivative, and the limits of Psi at +-inf."""
 
     z: HalfPlanePoint
-    Phi: Callable
     Psi: Callable
     Psi_prime: Callable
     psi_lim_neg: float
@@ -199,9 +198,6 @@ def _psi_prime(w: Weight, x, y: float, t: np.ndarray) -> np.ndarray:
 def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
     x, y = z.x, z.y
 
-    def Phi(t):
-        return halfplane_kernel(y, x - np.asarray(t, dtype=float))
-
     def Psi(t):
         return _psi(w, x, y, np.asarray(t, dtype=float))
 
@@ -213,7 +209,7 @@ def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
     else:
         lim_neg = _psi_limit(Psi, -1.0)
         lim_pos = _psi_limit(Psi, +1.0)
-    return KernelPair(z=z, Phi=Phi, Psi=Psi, Psi_prime=Psi_prime,
+    return KernelPair(z=z, Psi=Psi, Psi_prime=Psi_prime,
                       psi_lim_neg=lim_neg, psi_lim_pos=lim_pos)
 
 
@@ -251,10 +247,10 @@ class HalfPlaneOperator:
         """u_y at every x of a 1-d array xs.  Each point runs its own window
         doubling and panel sums; the panel nodes of all points share one
         G.eval and one Psi_z' call."""
-        pts = [HalfPlanePoint(float(x), y) for x in np.asarray(xs, dtype=float)]
+        xs = np.asarray(xs, dtype=float)
+        pts = [HalfPlanePoint(float(x), y) for x in xs]
         if not pts:
             return np.empty(0)
-        xs = np.asarray([z.x for z in pts])
         kps = [kernel_pair(self.w, z) for z in pts]
         lim_neg = np.asarray([kp.psi_lim_neg for kp in kps])
         lim_pos = np.asarray([kp.psi_lim_pos for kp in kps])

@@ -271,10 +271,11 @@ def test_halfplane_value_matches_per_panel_reference(rq, pair):
             "cheb_const2": (_cubic(), Weight.constant(2.0))}[pair]
     op = HalfPlaneOperator(f, w)
     # inside, near the support's edge, left of it and far to the right; the
-    # last two points take 2 and 4 to 6 window doublings, the others none
-    # (except with the constant weight at y = 1e-3)
+    # last two points take 1 to 2 and 4 to 6 window doublings, the others
+    # none (and with the constant weight at y = 1e-3 none do).  At y = 2 the
+    # first window half-width is 50y = 100, at the lower heights it is 50
     xs = np.asarray([0.5, 0.2, -1.0, 40.0, 130.0, 3000.0])
-    for y in (1e-3, 0.5):
+    for y in (1e-3, 0.5, 2.0):
         ref = [_value_per_panel(op, HalfPlanePoint(float(x), y)) for x in xs]
         assert list(op.values(xs, y, 1e-6)) == ref, y
         for x, r in zip(xs, ref):
