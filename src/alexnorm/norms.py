@@ -64,8 +64,15 @@ def alexiewicz_norm_halfline(f: Integrand) -> float:
     return max(abs(hi - base), abs(lo - base))
 
 
+def _check_shift(x: float) -> None:
+    """InvalidSpec unless the shift x is a finite number."""
+    if not math.isfinite(x):
+        raise InvalidSpec(f"shift x = {x!r} is not finite")
+
+
 def translate(f: Integrand, x: float) -> Integrand:
     """tau_x f, realized by shifting the primitive: G(y) = F(y - x)."""
+    _check_shift(x)
     if x == 0.0:
         return f
     pt = f.pointwise
@@ -82,6 +89,7 @@ def _difference_extrema(F: Primitive, x: float):
     Chebyshev panels take H at the merged edges and the real roots of
     H' = f(.-x) - f (machine-exact); closed forms are grid estimates.
     """
+    _check_shift(x)
     if x == 0.0:
         return 0.0, 0.0
     f = F.pieces(True)
@@ -93,7 +101,7 @@ def _difference_extrema(F: Primitive, x: float):
     window = (min(lo, lo + x) - abs(x), max(hi, hi + x) + abs(x))
     ev = lambda y: F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float))
     # F has kinks where a declared support ends; H often peaks there
-    bp = np.asarray(F.support_window() if F.support is not None else ())
+    bp = F.breakpoints()
     return grid_extrema(ev, window, levels=14 if len(bp) else 17,
                         seeds=tuple(np.union1d(bp, bp + x)), include=(0.0,))
 
@@ -338,6 +346,7 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     oscillation of W over the extended line.  Machine-exact for tables and
     Chebyshev panels, a grid estimate for closed forms.
     """
+    _check_shift(x)
     F = f.primitive
     if x == 0.0:
         return 0.0
@@ -378,6 +387,7 @@ def primitive_gap_l1(f: Integrand, x: float) -> float:
     """integral of |F(y-x) - F(y)| dy, for absolutely integrable f: the
     variation of W (machine-exact) for tables and panels without tail
     estimates, else the adaptive builder's integral of |H| to 1e-10."""
+    _check_shift(x)
     F = f.primitive
     if x == 0.0:
         return 0.0
@@ -447,6 +457,7 @@ def hk_not_l1_witness(x: float) -> HkWitnessReport:
     is clean, R^2 >= 0.999, with positive slope).  The certificate is reported
     as inconclusive when both asymptotic coefficients vanish.
     """
+    _check_shift(x)
     if x == 0.0:
         raise ValueError("the witness needs a nonzero shift")
     A = math.cos(x) - 1.0

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import KernelSingularity, TailBoundFailure, ToleranceNotMet
 from .norms import GapReport
-from .realfn import (Integrand, Interval, PiecewiseLinearPrimitive, _as_interval,
-                     _call_vec, build_primitive_from_pointwise, gauss_nodes,
-                     variation)
+from .realfn import (Integrand, Interval, _as_interval, _call_vec,
+                     build_primitive_from_pointwise, gauss_nodes, variation)
 from .weights import (Weight, _refinement_stable, _resolve_pointwise,
                       _weighted_gap_single, product_integrand)
 
@@ -62,12 +61,11 @@ class PeriodicIntegrand:
         return _call_vec(pt, wrapped)
 
     def pieces(self) -> Optional[tuple]:
-        """(edges, values) when f is piecewise constant on its period."""
-        F = self.base.primitive
-        if isinstance(F, PiecewiseLinearPrimitive):
-            slopes = np.diff(F.ys) / np.diff(F.xs)
-            return F.xs, slopes
-        return None
+        """(edges, values) when f is constant on each panel of its period."""
+        p = self.base.primitive.pieces(True)
+        if p is None or np.any(p[1][:, 1:]):
+            return None
+        return p[0], p[1][:, 0]
 
 
 def disc_kernel(r: float, alpha) -> np.ndarray:

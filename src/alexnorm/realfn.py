@@ -5,15 +5,19 @@ distributional sense), a continuous function on the extended real line with
 finite limits at both infinities.  Everything downstream (norms, translation
 gaps, weighted products, Poisson integrals) reduces to evaluating, integrating
 and taking oscillations/variations of such primitives, so this module carries
-the three concrete representations and the low-level engines:
+the concrete representations and the low-level engines:
 
-* ``PiecewiseLinearPrimitive``  -- exact node tables; oscillation and
-  variation are exact.
-* ``PiecewiseChebyshevPrimitive`` -- adaptive panel representation produced by
-  ``build_primitive_from_pointwise``; panel extrema are found from the
-  derivative's Chebyshev roots, so oscillation is exact to machine precision.
+* ``PiecewiseChebyshevPrimitive`` -- panels with a Chebyshev series for f and
+  its antiderivative for F, made adaptively by ``build_primitive_from_pointwise``;
+  extrema and variation are taken at the edges and the real roots of f, so
+  they are exact to machine precision.
+* ``PiecewiseLinearPrimitive`` -- exact node tables: panel primitives whose f
+  is constant on each panel.
 * ``ClosedFormPrimitive`` -- user- or registry-supplied closed forms; extrema
   are grid estimates refined by bounded scalar minimization.
+
+Other modules read a representation only through ``Primitive``: ``pieces``
+gives panel rows, ``breakpoints`` the points where f may jump.
 
 The extended real line is modelled by ordinary floats together with
 ``float('inf')`` / ``float('-inf')``, which already carry the required total
@@ -149,9 +153,9 @@ class Primitive:
         return self.eval(x)
 
     def breakpoints(self) -> np.ndarray:
-        """Node set of a table or panel representation; a closed form has no
-        nodes and returns an empty array."""
-        return np.empty(0)
+        """Increasing points where f = F' may jump, moving with ``shifted``: panel
+        edges, or a closed form's declared support ends (empty if none)."""
+        raise NotImplementedError
 
     def support_window(self) -> tuple:
         """Finite window outside which F is (at least numerically) constant."""
@@ -209,89 +213,6 @@ def _check_limits(limit_neg: float, limit_pos: float):
         raise ValueError("a primitive needs finite limits at both infinities")
 
 
-class PiecewiseLinearPrimitive(Primitive):
-    """Node table (x_i, F_i); F is linear between nodes and constant outside."""
-
-    def __init__(self, xs, ys, label: str = ""):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
-            raise ValueError("need matching 1-d arrays with at least two nodes")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("table entries must be finite")
-        self.xs = xs
-        self.ys = ys
-        self.limit_neg = float(ys[0])
-        self.limit_pos = float(ys[-1])
-        self.label = label
-        self._cum = None
-
-    def eval(self, x):
-        scalar = np.isscalar(x)
-        out = np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
-        return float(out) if scalar else out
-
-    def breakpoints(self):
-        return self.xs
-
-    def support_window(self):
-        return (float(self.xs[0]), float(self.xs[-1]))
-
-    def shifted(self, dx: float):
-        if dx == 0.0:
-            return self
-        return PiecewiseLinearPrimitive(self.xs + dx, self.ys, self.label)
-
-    def scaled(self, c: float):
-        return PiecewiseLinearPrimitive(self.xs, self.ys * c, self.label)
-
-    def extrema(self):
-        return (float(self.ys.min()), float(self.ys.max()))
-
-    def _antideriv_at(self, t):
-        if self._cum is None:
-            # node antiderivative of F; exact because F is linear on each piece
-            seg = 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs)
-            self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        t = np.asarray(t, dtype=float)
-        xs, ys, cum = self.xs, self.ys, self._cum
-        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
-        dt = t - xs[i]
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return self._extend_antideriv(t, cum[i] + ys[i] * dt + 0.5 * slope * dt * dt,
-                                      cum[-1])
-
-    def pointwise_derived(self):
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        xs = self.xs
-
-        def step(y):
-            y = np.asarray(y, dtype=float)
-            idx = np.clip(np.searchsorted(xs, y, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[idx]
-            return np.where((y < xs[0]) | (y >= xs[-1]), 0.0, out)
-
-        return step
-
-    def pieces(self, derivative):
-        xs, ys = self.xs, self.ys
-        if derivative:
-            return xs, (np.diff(ys) / np.diff(xs))[:, None], 0.0, 0.0
-        return xs, np.c_[ys[1:] + ys[:-1], np.diff(ys)] * 0.5, float(ys[0]), float(ys[-1])
-
-    def total_variation(self):
-        return float(np.abs(np.diff(self.ys)).sum())
-
-    def equals(self, other):
-        return (
-            isinstance(other, PiecewiseLinearPrimitive)
-            and np.array_equal(self.xs, other.xs)
-            and np.array_equal(self.ys, other.ys)
-        )
-
-
 def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
     """Per-panel Chebyshev antiderivatives of the rows of coefs, each constant
     shifted so the panels join continuously from value start at edges[0].
@@ -310,8 +231,8 @@ def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
 
 
 class PiecewiseChebyshevPrimitive(Primitive):
-    """Adaptive panel representation: per panel a Chebyshev series for f,
-    and its exact antiderivative for F.  Constant outside the panel range."""
+    """Panel representation: per panel a Chebyshev series for f (``fc``) and
+    its exact antiderivative for F (``Fc``).  Constant outside the panels."""
 
     def __init__(self, edges, f_coefs, F_edge0: float = 0.0, label: str = "",
                  tail_estimated: bool = False):
@@ -321,17 +242,17 @@ class PiecewiseChebyshevPrimitive(Primitive):
             raise ValueError("panel edges must be strictly increasing")
         if f_coefs.shape[0] != len(edges) - 1:
             raise ValueError("one coefficient row per panel required")
-        self.edges = edges
-        self.fc = f_coefs
-        Fc, F_edges = _chained_antiderivative(edges, f_coefs, F_edge0)
-        self.Fc = Fc
-        self.F_edges = F_edges
+        self._set_panels(edges, f_coefs, *_chained_antiderivative(edges, f_coefs, F_edge0),
+                         label)
+        self.tail_estimated = tail_estimated
+
+    def _set_panels(self, edges, fc, Fc, F_edges, label: str):
+        self.edges, self.fc, self.Fc, self.F_edges = edges, fc, Fc, F_edges
         self.limit_neg = float(F_edges[0])
         self.limit_pos = float(F_edges[-1])
         self.label = label
-        self.tail_estimated = tail_estimated
         self._extrema_cache = {}
-        self._SF = None
+        self._SF = None  # window-integral antiderivative, built on first use
 
     def _eval_coef(self, x, coef_rows, below: float, above: float,
                    at_neg: float, at_pos: float):
@@ -388,11 +309,10 @@ class PiecewiseChebyshevPrimitive(Primitive):
         return out
 
     def scaled(self, c: float):
-        out = PiecewiseChebyshevPrimitive(
-            self.edges, self.fc * c, F_edge0=float(self.F_edges[0]) * c,
-            label=self.label, tail_estimated=self.tail_estimated)
-        out.limit_neg = self.limit_neg * c
-        out.limit_pos = self.limit_pos * c
+        out = copy.copy(self)
+        out.fc, out.Fc, out.F_edges = self.fc * c, self.Fc * c, self.F_edges * c
+        out.limit_neg, out.limit_pos = self.limit_neg * c, self.limit_pos * c
+        out._extrema_cache, out._SF = {}, None
         return out
 
     def pieces(self, derivative):
@@ -424,12 +344,70 @@ class PiecewiseChebyshevPrimitive(Primitive):
                                       SF_edges[-1])
 
     def equals(self, other):
+        # F itself: a table's chord rows depend on its node values alone
         return (
-            isinstance(other, PiecewiseChebyshevPrimitive)
+            type(other) is type(self)
             and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.fc, other.fc)
+            and np.array_equal(self.Fc, other.Fc)
+            and np.array_equal(self.F_edges, other.F_edges)
             and self.limit_neg == other.limit_neg
+            and self.limit_pos == other.limit_pos
         )
+
+
+class PiecewiseLinearPrimitive(PiecewiseChebyshevPrimitive):
+    """Node table (x_i, F_i); F is linear between nodes and constant outside.
+
+    A panel primitive whose panels are the node intervals: f is the slope
+    (a degree-0 row) and F the chord (a degree-1 row) on each.  It keeps
+    interpolation as its evaluator, exact at the nodes, and the node
+    trapezoid sums as its window integral."""
+
+    def __init__(self, xs, ys, label: str = ""):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
+            raise ValueError("need matching 1-d arrays with at least two nodes")
+        if not np.all(np.diff(xs) > 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("table entries must be finite")
+        self._set_panels(xs, (np.diff(ys) / np.diff(xs))[:, None],
+                         np.c_[ys[1:] + ys[:-1], np.diff(ys)] * 0.5, ys, label)
+
+    xs = property(lambda self: self.edges, doc="The nodes x_i.")
+    ys = property(lambda self: self.F_edges, doc="F at the nodes.")
+
+    def eval(self, x):
+        scalar = np.isscalar(x)
+        out = np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
+        return float(out) if scalar else out
+
+    def _antideriv_at(self, t):
+        xs, ys = self.xs, self.ys
+        if self._SF is None:
+            # node antiderivative of F; exact because F is linear on each piece
+            seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
+            self._SF = np.concatenate([[0.0], np.cumsum(seg)])
+        t = np.asarray(t, dtype=float)
+        cum = self._SF
+        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+        dt = t - xs[i]
+        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+        return self._extend_antideriv(t, cum[i] + ys[i] * dt + 0.5 * slope * dt * dt,
+                                      cum[-1])
+
+    def pointwise_derived(self):
+        slopes = np.diff(self.ys) / np.diff(self.xs)
+        xs = self.xs
+
+        def step(y):
+            y = np.asarray(y, dtype=float)
+            idx = np.clip(np.searchsorted(xs, y, side="right") - 1, 0, len(slopes) - 1)
+            out = slopes[idx]
+            return np.where((y < xs[0]) | (y >= xs[-1]), 0.0, out)
+
+        return step
 
 
 class ClosedFormPrimitive(Primitive):
@@ -465,6 +443,11 @@ class ClosedFormPrimitive(Primitive):
         if fin.any():
             out[fin] = _call_vec(self.func, x[fin] - self.shift)
         return float(out[0]) if scalar else out
+
+    def breakpoints(self):
+        if self.support is None:
+            return np.empty(0)
+        return np.asarray(self.support) + self.shift
 
     def support_window(self):
         win = self.support if self.support is not None else self.scan

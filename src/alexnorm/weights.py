@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                      NonConvergentTail, NonIntegrableProduct, ToleranceNotMet)
-from .norms import GapReport, _difference_extrema, alexiewicz_norm, gap_sweep
+from .norms import (GapReport, _check_shift, _difference_extrema, alexiewicz_norm,
+                    gap_sweep)
 from .realfn import (Integrand, Interval, _as_interval, _call_vec, _critical_points,
                      build_primitive_from_pointwise, variation)
 
@@ -72,10 +73,10 @@ class Weight:
         vals = np.asarray(values, dtype=float)
         if bps.ndim != 1 or len(vals) != len(bps) + 1:
             raise ValueError("need len(values) == len(breakpoints) + 1")
-        if len(bps) and not np.all(np.diff(bps) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(vals <= 0):
-            raise ValueError("weight values must be positive")
+        if not np.all(np.isfinite(bps)) or not np.all(np.diff(bps) > 0):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not np.all((vals > 0) & (vals < math.inf)):
+            raise ValueError("weight values must be positive and finite")
 
         def step(y):
             idx = np.searchsorted(bps, np.asarray(y, dtype=float), side="right")
@@ -85,8 +86,8 @@ class Weight:
 
     @classmethod
     def constant(cls, c: float = 1.0, label: str = "constant") -> "Weight":
-        if c <= 0:
-            raise ValueError("a weight must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError("a weight must be positive and finite")
         return cls(lambda y: np.full_like(np.asarray(y, dtype=float), c),
                    derivative=_zeros, constant=c, label=label)
 
@@ -378,24 +379,21 @@ def product_integrand(f, w: Weight, *, core_halfwidth: float = 64.0) -> Integran
 def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
                         core_halfwidth: float, *, x: float = 0.0, label: str = ""):
     """Primitive of h, pointwise data of f times values of w and its shift
-    by x.  The jumps of w and of w(. + x), the table nodes of f and the ends
-    of a closed form's declared support (where f may jump) are panel hints;
-    a table f confines the support, and a closed-form f widens the core
-    window to its own."""
+    by x.  The jumps of w, of w(. + x) and of f are panel hints.  An f made
+    of panels without estimated tails vanishes outside them and confines the
+    support; any other f widens the core window to its own."""
     wb = w.breakpoints()
     hints = list(wb) + list(wb - x)
     support = Interval(-math.inf, math.inf)
     core = core_halfwidth
     if isinstance(f, Integrand):
-        lo, hi = f.primitive.support_window()
-        bp = f.primitive.breakpoints()
-        if len(bp):
-            hints.extend(bp)
-            support = Interval(lo, hi)  # f vanishes outside its table
+        F = f.primitive
+        lo, hi = F.support_window()
+        hints.extend(F.breakpoints())
+        if F.pieces(True) is not None and not F.tail_estimated:
+            support = Interval(lo, hi)
         else:
             core = max(core_halfwidth, abs(lo), abs(hi))
-            if f.primitive.support is not None:
-                hints.extend((lo, hi))
     try:
         return build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
                                               core_halfwidth=core, label=label)
@@ -420,6 +418,8 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
     """
     if not len(xs):
         raise ValueError("xs must be nonempty")
+    for x in xs:
+        _check_shift(x)
     if w.is_constant_one and isinstance(f, Integrand):
         return gap_sweep(f, xs, tol)
 

@@ -194,6 +194,18 @@ def test_run_exits_2_on_bad_field(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_exits_2_on_nan_in_weight_table(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_scenario(
+        kind="weighted_sweep", ladder=[0.5],
+        weight_spec={"kind": "table", "breakpoints": [0.0], "values": [1.0, float("nan")]})))
+    assert "NaN" in mpath.read_text()
+    assert main(["run", str(mpath), "--out", str(tmp_path / "o")]) == 2
+    assert "scenarios[0].weight_spec: weight values must be positive and finite" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("seed", ["abc", [1], float("inf"), 2.7, True, -1])
 def test_parse_rejects_manifest_seed(seed):
     manifest = _scenario()

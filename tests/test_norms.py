@@ -318,6 +318,44 @@ def test_primitive_gap_l1_bound_across_builtins():
             assert primitive_gap_l1(f, x) <= n1 * x + 1e-9
 
 
+def test_table_and_its_degree_zero_twin_agree():
+    # a table is the panel primitive with one constant row of f per node interval
+    xs = np.asarray([-1.0, 0.0, 0.4, 2.0, 3.0])
+    ys = np.asarray([0.0, 1.5, -0.3, 0.7, 0.2])
+    table = Integrand(PiecewiseLinearPrimitive(xs, ys))
+    twin = Integrand(PiecewiseChebyshevPrimitive(xs, (np.diff(ys) / np.diff(xs))[:, None],
+                                                 F_edge0=ys[0]))
+    for op in (alexiewicz_norm, one_norm):
+        assert op(twin) == pytest.approx(op(table), abs=1e-13)
+    for x in (0.3, -1.7, 4.5):
+        for op in (translation_gap, primitive_gap_norm, primitive_gap_l1):
+            assert op(twin, x) == pytest.approx(op(table, x), abs=1e-13)
+    u, v = np.asarray([-2.0, -0.5, 0.1, 1.0]), np.asarray([-1.5, 0.3, 2.9, 4.0])
+    assert np.allclose(twin.primitive.window_integral(u, v),
+                       table.primitive.window_integral(u, v), rtol=0.0, atol=1e-13)
+
+
+_SHIFT_ENTRY_POINTS = {
+    "translate_table": lambda x: translate(indicator(0.0, 1.0), x),
+    "translate_panels": lambda x: alexiewicz_norm(translate(get_function("bump"), x)),
+    "translation_gap": lambda x: translation_gap(get_function("bump"), x),
+    "translation_gap_sinc": lambda x: translation_gap(sinc_integrand(), x),
+    "gap_sweep": lambda x: gap_sweep(indicator(0.0, 1.0), [0.5, x]),
+    "primitive_gap_norm": lambda x: primitive_gap_norm(indicator(0.0, 1.0), x),
+    "primitive_gap_l1": lambda x: primitive_gap_l1(indicator(0.0, 1.0), x),
+    "weighted_gap_sweep": lambda x: weighted_gap_sweep(
+        indicator(0.0, 1.0), get_weight("reciprocal_quadratic"), [0.5, x]),
+    "hk_not_l1_witness": hk_not_l1_witness,
+}
+
+
+@pytest.mark.parametrize("x", [float("nan"), INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(_SHIFT_ENTRY_POINTS))
+def test_non_finite_shift_is_invalid_spec(entry, x):
+    with pytest.raises(InvalidSpec, match=f"shift x = {x!r} is not finite"):
+        _SHIFT_ENTRY_POINTS[entry](x)
+
+
 def test_primitive_gap_l1_rejects_sinc():
     with pytest.raises(NotAbsolutelyIntegrable):
         primitive_gap_l1(sinc_integrand(), 1.0)

@@ -13,8 +13,8 @@ from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               halfplane_kernel, halfplane_kernel_mass,
                               halfplane_weighted_convergence, kernel_bv_audit,
                               kernel_pair, poisson_disc, poisson_halfplane)
-from alexnorm.realfn import (Integrand, _call_vec, build_primitive_from_pointwise,
-                             gauss_nodes)
+from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive, _call_vec,
+                             build_primitive_from_pointwise, gauss_nodes)
 from alexnorm.registry import get_function, get_weight, indicator
 from alexnorm.weights import Weight, weighted_gap_sweep
 
@@ -69,6 +69,18 @@ def test_disc_kernel_mass_wrapped_arcs():
 def test_poisson_disc_constant(one_period):
     for r in (0.0, 0.3, 0.9):
         assert poisson_disc(one_period, r, 1.234) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_disc_exact_arcs_for_constant_panels(one_period):
+    # f = 2 on (-pi, 0) and 0 on (0, pi) as panels: exact arcs, as for a table
+    F = PiecewiseChebyshevPrimitive([-math.pi, 0.0, math.pi], [[2.0], [0.0]])
+    f = PeriodicIntegrand(Integrand(F))
+    edges, values = f.pieces()
+    assert np.array_equal(edges, F.edges) and np.array_equal(values, [2.0, 0.0])
+    assert poisson_disc(f, 0.6, 0.3) == 2.0 * disc_kernel_mass(0.6, -math.pi - 0.3, -0.3)
+    assert np.array_equal(one_period.pieces()[1], [1.0])
+    assert PeriodicIntegrand(Integrand(PiecewiseChebyshevPrimitive(
+        [-math.pi, math.pi], [[0.0, 1.0]]))).pieces() is None
 
 
 def test_poisson_disc_cosine_extension(cos_period):
@@ -136,6 +148,13 @@ def test_disc_harmonicity_spot_check(chi_half):
 
 
 # -- half-plane -------------------------------------------------------------------
+
+
+def test_halfplane_panel_edges_hold_closed_form_jumps():
+    # cosine's f jumps at +-pi, the ends of its declared support
+    op = HalfPlaneOperator(get_function("cosine"), Weight.constant(1.0))
+    edges = op._panel_edges(HalfPlanePoint(0.3, 0.5), -50.0, 50.0)
+    assert {-math.pi, math.pi} <= set(edges.tolist())
 
 
 def test_halfplane_kernel_mass():

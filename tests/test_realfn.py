@@ -155,6 +155,50 @@ def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
     assert math.isnan(arr[5])
 
 
+@pytest.mark.parametrize("name", ["table", "cheb", "tail"])
+def test_scaled_and_shifted_at_the_nodes(window_primitives, name):
+    # one body serves tables and panels: c * F and F(. - dx) at the nodes
+    F = window_primitives[name]
+    t = F.breakpoints()
+    S = F.scaled(-2.5)
+    assert type(S) is type(F)
+    assert S.eval(t) == pytest.approx(-2.5 * F.eval(t), rel=1e-15, abs=1e-15)
+    assert (S.limit_neg, S.limit_pos) == (-2.5 * F.limit_neg, -2.5 * F.limit_pos)
+    assert S.extrema() == pytest.approx((-2.5 * F.extrema()[1], -2.5 * F.extrema()[0]))
+    G = F.shifted(0.75)
+    assert np.array_equal(G.breakpoints(), t + 0.75)
+    assert np.array_equal(G.eval(t + 0.75), F.eval(t))
+    assert G.window_integral(0.75, 2.75) == pytest.approx(F.window_integral(0.0, 2.0),
+                                                          abs=1e-14)
+
+
+def test_table_is_a_panel_primitive_with_constant_f():
+    xs, ys = np.asarray([0.0, 1.0, 2.5]), np.asarray([0.5, 2.0, -1.0])
+    T = PiecewiseLinearPrimitive(xs, ys)
+    twin = PiecewiseChebyshevPrimitive(xs, (np.diff(ys) / np.diff(xs))[:, None],
+                                       F_edge0=ys[0])
+    assert isinstance(T, PiecewiseChebyshevPrimitive)
+    assert np.array_equal(T.pieces(True)[1], twin.pieces(True)[1])
+    assert np.array_equal(T.F_edges, ys) and np.array_equal(T.xs, T.edges)
+    # equals needs equal data and the same class
+    assert T.equals(PiecewiseLinearPrimitive(xs.copy(), ys.copy()))
+    assert twin.equals(PiecewiseChebyshevPrimitive(xs, twin.fc.copy(), F_edge0=ys[0]))
+    assert not T.equals(twin) and not twin.equals(T)
+    assert not T.equals(PiecewiseLinearPrimitive(xs, ys + 1.0))
+    assert not T.equals(T.shifted(0.5))
+    # equality is by F: these slopes differ in the last bit, the nodes do not
+    S = PiecewiseLinearPrimitive([0.1, 0.7, 1.3], [0.0, 1.0, 0.5]).shifted(0.2)
+    fresh = PiecewiseLinearPrimitive(S.xs.copy(), S.ys.copy())
+    assert not np.array_equal(S.fc, fresh.fc) and S.equals(fresh)
+
+
+def test_closed_form_breakpoints_are_its_support_ends():
+    F = get_function("cosine").primitive
+    assert np.array_equal(F.breakpoints(), [-math.pi, math.pi])
+    assert np.array_equal(F.shifted(0.5).breakpoints(), [-math.pi + 0.5, math.pi + 0.5])
+    assert np.array_equal(F.scaled(3.0).breakpoints(), F.breakpoints())
+
+
 @pytest.mark.parametrize("name", ["cheb", "tail"])
 def test_cheb_eval_matches_per_panel_mask_loop(window_primitives, name):
     # reference: the per-panel boolean-mask loop that the sorted runs replaced

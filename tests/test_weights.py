@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from alexnorm.errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                              NonIntegrableProduct)
 from alexnorm.norms import gap_sweep
+from alexnorm.realfn import Integrand, build_primitive_from_pointwise
 from alexnorm.registry import get_function, get_weight
 from alexnorm.weights import (Weight, convergence_in_measure, product_integrand,
                               ratio_conditions_check, sufficient_conditions_check,
@@ -334,6 +336,31 @@ def test_weighted_gap_hints_closed_form_support_ends():
     got = weighted_gap_sweep(get_function("cosine"), Weight.piecewise_constant(bps, vals),
                              [x])[0].gap
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_product_of_tail_estimated_panels_keeps_its_tails(rq):
+    # f = e^{-|y|} has panels on [-6, 6] and estimated tails beyond; the product
+    # with 1/(1 + y^2) must not be cut to the panels (it would lose 1.04e-4)
+    e = lambda y: np.exp(-np.abs(np.asarray(y, dtype=float)))
+    P = build_primitive_from_pointwise(e, (-math.inf, math.inf), 1e-12, core_halfwidth=6.0)
+    G = product_integrand(Integrand(P, e), rq).primitive
+    want = 2.0 * quad(lambda y: math.exp(-y) / (1.0 + y * y), 0.0, math.inf,
+                      epsabs=1e-14, epsrel=1e-14)[0]
+    assert G.limit_pos - G.limit_neg == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Weight.piecewise_constant([math.nan], [1.0, 2.0]),
+    lambda: Weight.piecewise_constant([-math.inf, 0.0], [1.0, 2.0, 3.0]),
+    lambda: Weight.piecewise_constant([0.0], [1.0, math.nan]),
+    lambda: Weight.piecewise_constant([0.0], [math.inf, 1.0]),
+    lambda: Weight.constant(math.nan),
+    lambda: Weight.constant(math.inf),
+], ids=["nan_breakpoint", "inf_breakpoint", "nan_value", "inf_value",
+        "nan_constant", "inf_constant"])
+def test_weight_constructors_refuse_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_breakpoints_empty_without_nodes(rq):
