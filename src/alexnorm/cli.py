@@ -207,6 +207,10 @@ _SCENARIO_KEYS = ("name", "kind", "function_spec", "weight_spec", "ladder", "thr
                   "output_path")
 _OUTPUT_PATH = _is(_output_file, "a relative file path without '..', other than summary.json")
 _LADDER = _is(lambda v: isinstance(v, list) and all(map(_num, v)), "a list of finite numbers")
+# what a kind's engine takes as a ladder entry, checked before anything runs
+_LADDER_ENTRIES = {
+    "poisson_disc": _is(lambda v: all(0.0 <= r < 1.0 for r in v), "radii in [0, 1)"),
+    "poisson_halfplane": _is(lambda v: all(y > 0.0 for y in v), "positive heights")}
 _FLAG = _is(lambda v: type(v) is bool, "true or false")
 _INTERVAL = _is(lambda v: len(v) == 2 and _num(v[0]) and _num(v[1]) and v[0] < v[1],
                 "[a, b] with finite a < b")
@@ -271,6 +275,8 @@ def parse_manifest(data: dict) -> RunManifest:
         ladder = [float(t) for t in _LADDER(sc.get("ladder", []), f"{where}.ladder")]
         if "ladder" in needs and not ladder:
             raise SpecParseError(f"{where}.ladder: must be nonempty for kind {kind!r}")
+        if kind in _LADDER_ENTRIES:
+            _LADDER_ENTRIES[kind](ladder, f"{where}.ladder")
         # resolve every field now, so a bad one fails before anything runs
         function = weight = None
         fspec = sc.get("function_spec")

@@ -12,7 +12,7 @@ the concrete representations and the low-level engines:
   extrema and variation are taken at the edges and the real roots of f, so
   they are exact to machine precision.
 * ``PiecewiseLinearPrimitive`` -- exact node tables: panel primitives whose f
-  is constant on each panel.
+  is constant on each panel; only their interpolating evaluator is their own.
 * ``ClosedFormPrimitive`` -- user- or registry-supplied closed forms; extrema
   are grid estimates refined by bounded scalar minimization.
 
@@ -171,24 +171,12 @@ class Primitive:
         """(min, max) of F over the extended real line, limits included."""
         raise NotImplementedError
 
-    def _antideriv_at(self, t) -> np.ndarray:
-        raise NotImplementedError
-
     def window_integral(self, u, v):
         """Integral of F itself over the finite windows [u, v], elementwise
         for arrays u and v of one shape; a scalar pair gives a float.  Beyond
         the nodes F is taken at its declared limits.  Tables and Chebyshev
         panels only: a closed form raises NotImplementedError."""
-        out = self._antideriv_at(v) - self._antideriv_at(u)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _extend_antideriv(self, t: np.ndarray, inside, total: float) -> np.ndarray:
-        """An antiderivative S of F from its values inside the support window
-        [a, b], with S(a) = 0 and S(b) = total; F is taken at its limits
-        outside, so S is linear there."""
-        a, b = self.support_window()
-        return np.where(t <= a, (t - a) * self.limit_neg,
-                        np.where(t >= b, total + (t - b) * self.limit_pos, inside))
+        raise NotImplementedError
 
     def pointwise_derived(self) -> Optional[Evaluator]:
         """Derivative evaluator recovered from the representation, if exact."""
@@ -208,9 +196,11 @@ class Primitive:
         return self is other
 
 
-def _check_limits(limit_neg: float, limit_pos: float):
-    if not (math.isfinite(limit_neg) and math.isfinite(limit_pos)):
-        raise ValueError("a primitive needs finite limits at both infinities")
+def _finite_window(window, name: str) -> tuple:
+    a, b = float(window[0]), float(window[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"{name} must be a finite window [a, b] with a < b, got {window!r}")
+    return a, b
 
 
 def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
@@ -218,15 +208,15 @@ def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
     shifted so the panels join continuously from value start at edges[0].
     Returns the coefficient rows and the values at the edges."""
     n, d = coefs.shape
-    hw = 0.5 * np.diff(edges)
     out = np.zeros((n, d + 1))
+    ints = _cheb.chebint(coefs, axis=1)  # a single all-zero column stays one column
+    out[:, :ints.shape[1]] = 0.5 * np.diff(edges)[:, None] * ints
+    left = _cheb.chebval(-1.0, out.T)
     at_edges = np.empty(n + 1)
     at_edges[0] = start
-    for i in range(n):
-        out[i] = hw[i] * _cheb.chebint(coefs[i])
-        left = _cheb.chebval(-1.0, out[i])
-        out[i][0] += at_edges[i] - left
-        at_edges[i + 1] = _cheb.chebval(1.0, out[i])
+    for i, row in enumerate(out):  # in order: each panel starts where the last ended
+        row[0] += at_edges[i] - left[i]
+        at_edges[i + 1] = _cheb.chebval(1.0, row)
     return out, at_edges
 
 
@@ -242,6 +232,8 @@ class PiecewiseChebyshevPrimitive(Primitive):
             raise ValueError("panel edges must be strictly increasing")
         if f_coefs.shape[0] != len(edges) - 1:
             raise ValueError("one coefficient row per panel required")
+        if not np.isfinite(np.r_[edges, f_coefs.ravel(), F_edge0]).all():
+            raise ValueError("panel edges, rows and F_edge0 must be finite")
         self._set_panels(edges, f_coefs, *_chained_antiderivative(edges, f_coefs, F_edge0),
                          label)
         self.tail_estimated = tail_estimated
@@ -271,12 +263,8 @@ class PiecewiseChebyshevPrimitive(Primitive):
                           0, len(self.edges) - 2)
             a, b = self.edges[idx], self.edges[idx + 1]
             xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
-            vals = np.empty_like(xm)
-            # one contiguous run of points per panel, each through chebval
-            order = np.argsort(idx, kind="stable")
-            for run in np.split(order, np.flatnonzero(np.diff(idx[order])) + 1):
-                vals[run] = _cheb.chebval(xi[run], coef_rows[idx[run[0]]])
-            out[mid] = vals
+            # each point runs the Clenshaw recurrence on its own panel's row
+            out[mid] = _cheb.chebval(xi, coef_rows.T[:, idx], tensor=False)
         out[np.isneginf(x)] = at_neg
         out[np.isposinf(x)] = at_pos
         return float(out[0]) if scalar else out
@@ -290,9 +278,7 @@ class PiecewiseChebyshevPrimitive(Primitive):
                                self.limit_neg, self.limit_pos)
 
     def pointwise_derived(self):
-        def f(y):
-            return self._eval_coef(y, self.fc, 0.0, 0.0, 0.0, 0.0)
-        return f
+        return lambda y: self._eval_coef(y, self.fc, 0.0, 0.0, 0.0, 0.0)
 
     def breakpoints(self):
         return self.edges
@@ -335,13 +321,20 @@ class PiecewiseChebyshevPrimitive(Primitive):
     def total_variation(self):
         return float(np.abs(np.diff(self._critical_values())).sum())
 
-    def _antideriv_at(self, t):
+    def window_integral(self, u, v):
         if self._SF is None:
             self._SF = _chained_antiderivative(self.edges, self.Fc, 0.0)
         SFc, SF_edges = self._SF
-        t = np.asarray(t, dtype=float)
-        return self._extend_antideriv(t, self._eval_coef(t, SFc, 0.0, 0.0, 0.0, 0.0),
-                                      SF_edges[-1])
+        a, b = self.support_window()
+
+        def S(t):  # S' = F and S(a) = 0; F is at its limits outside [a, b]
+            t = np.asarray(t, dtype=float)
+            return np.where(t <= a, (t - a) * self.limit_neg,
+                            np.where(t >= b, SF_edges[-1] + (t - b) * self.limit_pos,
+                                     self._eval_coef(t, SFc, 0.0, 0.0, 0.0, 0.0)))
+
+        out = S(v) - S(u)
+        return float(out) if np.ndim(out) == 0 else out
 
     def equals(self, other):
         # F itself: a table's chord rows depend on its node values alone
@@ -359,9 +352,8 @@ class PiecewiseLinearPrimitive(PiecewiseChebyshevPrimitive):
     """Node table (x_i, F_i); F is linear between nodes and constant outside.
 
     A panel primitive whose panels are the node intervals: f is the slope
-    (a degree-0 row) and F the chord (a degree-1 row) on each.  It keeps
-    interpolation as its evaluator, exact at the nodes, and the node
-    trapezoid sums as its window integral."""
+    (a degree-0 row) and F the chord (a degree-1 row) on each.  Only its
+    evaluator is its own: interpolation, exact at the nodes."""
 
     def __init__(self, xs, ys, label: str = ""):
         xs = np.asarray(xs, dtype=float)
@@ -379,35 +371,8 @@ class PiecewiseLinearPrimitive(PiecewiseChebyshevPrimitive):
     ys = property(lambda self: self.F_edges, doc="F at the nodes.")
 
     def eval(self, x):
-        scalar = np.isscalar(x)
         out = np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
-        return float(out) if scalar else out
-
-    def _antideriv_at(self, t):
-        xs, ys = self.xs, self.ys
-        if self._SF is None:
-            # node antiderivative of F; exact because F is linear on each piece
-            seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-            self._SF = np.concatenate([[0.0], np.cumsum(seg)])
-        t = np.asarray(t, dtype=float)
-        cum = self._SF
-        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
-        dt = t - xs[i]
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return self._extend_antideriv(t, cum[i] + ys[i] * dt + 0.5 * slope * dt * dt,
-                                      cum[-1])
-
-    def pointwise_derived(self):
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        xs = self.xs
-
-        def step(y):
-            y = np.asarray(y, dtype=float)
-            idx = np.clip(np.searchsorted(xs, y, side="right") - 1, 0, len(slopes) - 1)
-            out = slopes[idx]
-            return np.where((y < xs[0]) | (y >= xs[-1]), 0.0, out)
-
-        return step
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class ClosedFormPrimitive(Primitive):
@@ -420,12 +385,13 @@ class ClosedFormPrimitive(Primitive):
 
     def __init__(self, func: Evaluator, limit_neg: float, limit_pos: float,
                  scan, support=None, label: str = ""):
-        _check_limits(limit_neg, limit_pos)
+        if not (math.isfinite(limit_neg) and math.isfinite(limit_pos)):
+            raise ValueError("a primitive needs finite limits at both infinities")
         self.func = func
         self.limit_neg = float(limit_neg)
         self.limit_pos = float(limit_pos)
-        self.scan = (float(scan[0]), float(scan[1]))
-        self.support = None if support is None else (float(support[0]), float(support[1]))
+        self.scan = _finite_window(scan, "scan")
+        self.support = None if support is None else _finite_window(support, "support")
         self.shift = 0.0
         self.label = label
         self._extrema_cache = {}
@@ -728,7 +694,9 @@ def build_primitive_from_pointwise(
     doubling windows with geometric extrapolation.  Raises NonConvergentTail
     when the tail cannot be stabilized, and ToleranceNotMet when the panel
     budget is exhausted or the error estimate is not finite (NaN or infinite
-    data).
+    data).  A half-line beyond the core window is built on the 2 *
+    core_halfwidth next to its finite end; an empty finite support raises
+    InvalidSpec.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -737,8 +705,10 @@ def build_primitive_from_pointwise(
     right_inf = not math.isfinite(sup.b)
     a = sup.a if not left_inf else -core_halfwidth
     b = sup.b if not right_inf else core_halfwidth
-    if b <= a:
-        b = a + 2.0 * core_halfwidth
+    if b <= a:  # empty, or a half-line beyond the core window
+        if not (left_inf or right_inf):
+            raise InvalidSpec(f"support [{sup.a}, {sup.b}] is empty")
+        a, b = (b - 2.0 * core_halfwidth, b) if left_inf else (a, a + 2.0 * core_halfwidth)
 
     hints = sorted({float(t) for t in breakpoints if a < t < b})
     edges0 = [a] + hints + [b]

@@ -206,6 +206,30 @@ def test_run_exits_2_on_nan_in_weight_table(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+HALFPLANE = dict(kind="poisson_halfplane", weight_spec=RQ)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(HALFPLANE, ladder=[0.1, -0.1]), dict(HALFPLANE, ladder=[0.0]),
+    dict(kind="poisson_disc", ladder=[0.5, -0.2]), dict(kind="poisson_disc", ladder=[1.0]),
+], ids=["height_negative", "height_zero", "radius_negative", "radius_one"])
+def test_run_exits_2_on_bad_poisson_ladder(fields, tmp_path, capsys):
+    # heights must lie above the line and radii inside the disc
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(_scenario(**fields)))
+    assert main(["run", str(mpath), "--out", str(tmp_path / "o")]) == 2
+    assert "scenarios[0].ladder: must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parse_accepts_poisson_ladder_bounds():
+    assert parse_manifest(_scenario(kind="poisson_disc", ladder=[0.0, 0.999])
+                          ).scenarios[0].ladder == [0.0, 0.999]
+    assert parse_manifest(_scenario(**HALFPLANE, ladder=[1e-300])).scenarios[0].ladder == [1e-300]
+    # other kinds take negative ladder entries: a shift may have either sign
+    assert parse_manifest(_scenario(kind="gap_sweep", ladder=[-0.5])).scenarios[0].ladder == [-0.5]
+
+
 @pytest.mark.parametrize("seed", ["abc", [1], float("inf"), 2.7, True, -1])
 def test_parse_rejects_manifest_seed(seed):
     manifest = _scenario()

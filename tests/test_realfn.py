@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
-from alexnorm.realfn import (Interval, Partition, PiecewiseChebyshevPrimitive,
-                             PiecewiseLinearPrimitive, _critical_points,
+from alexnorm.realfn import (ClosedFormPrimitive, Interval, Partition,
+                             PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
+                             _chained_antiderivative, _critical_points,
                              build_primitive_from_pointwise, integral,
                              oscillation, variation)
 from alexnorm.registry import get_function, indicator
 
 INF = float("inf")
+NAN = float("nan")
+C = np.polynomial.chebyshev
 
 
 def chi01(y):
@@ -231,7 +234,7 @@ def test_critical_points_match_chebroots_per_panel():
     assert np.array_equal(got, np.unique(np.concatenate(want)))
 
 
-@pytest.mark.parametrize("name", ["cheb", "tail"])
+@pytest.mark.parametrize("name", ["table", "cheb", "tail"])
 def test_cheb_eval_single_point_matches_array_path(window_primitives, name):
     # one point must give the bits the same point gets inside a larger array,
     # as a float for scalar input and with its shape kept for a one-element array
@@ -257,6 +260,99 @@ def test_cheb_eval_single_point_matches_array_path(window_primitives, name):
                 else:
                     assert isinstance(g, np.ndarray) and g.shape == (1,)
                 assert np.array_equal(np.ravel(g), ref[k:k + 1], equal_nan=True), (p, x)
+
+
+def _chained_per_panel(edges, coefs, start):
+    # reference: one chebint and two chebval calls per panel, in order
+    n, d = coefs.shape
+    hw = 0.5 * np.diff(edges)
+    out = np.zeros((n, d + 1))
+    at_edges = np.empty(n + 1)
+    at_edges[0] = start
+    for i in range(n):
+        out[i] = hw[i] * C.chebint(coefs[i])
+        left = C.chebval(-1.0, out[i])
+        out[i][0] += at_edges[i] - left
+        at_edges[i + 1] = C.chebval(1.0, out[i])
+    return out, at_edges
+
+
+@pytest.mark.parametrize("degree", [0, 1, 16])
+def test_chained_antiderivative_matches_per_panel_loop(degree):
+    rng = np.random.default_rng(11 + degree)
+    edges = np.cumsum(rng.uniform(0.01, 1.0, 3001)) - 700.0
+    coefs = rng.normal(size=(3000, degree + 1)) * rng.uniform(0.1, 100.0, (3000, 1))
+    coefs[::97] = 0.0  # zero rows take chebint's special case one row at a time
+    for rows in (coefs, np.zeros_like(coefs)):
+        got, got_edges = _chained_antiderivative(edges, rows, 1.25)
+        want, want_edges = _chained_per_panel(edges, rows, 1.25)
+        assert np.array_equal(got, want) and np.array_equal(got_edges, want_edges)
+
+
+@pytest.fixture(scope="module")
+def random_walk_table():
+    rng = np.random.default_rng(5)
+    xs = np.cumsum(rng.uniform(0.001, 0.1, 3000)) - 40.0
+    return PiecewiseLinearPrimitive(xs, np.cumsum(rng.normal(size=3000)))
+
+
+def _trapezoid_antiderivative(F, t):
+    # reference: node-trapezoid sums, exact because F is linear on each piece
+    xs, ys = F.xs, F.ys
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
+    i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+    dt = t - xs[i]
+    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+    inside = cum[i] + ys[i] * dt + 0.5 * slope * dt * dt
+    return np.where(t <= xs[0], (t - xs[0]) * F.limit_neg,
+                    np.where(t >= xs[-1], cum[-1] + (t - xs[-1]) * F.limit_pos, inside))
+
+
+def test_table_window_integral_matches_trapezoid_sums(random_walk_table):
+    F = random_walk_table
+    rng = np.random.default_rng(9)
+    a, b = F.support_window()
+    u = np.concatenate([np.full(2000, a - 1.0), rng.uniform(a - 1.0, b + 1.0, 2000)])
+    v = np.concatenate([rng.uniform(a - 1.0, b + 1.0, 2000), np.full(2000, b + 1.0)])
+    want = _trapezoid_antiderivative(F, v) - _trapezoid_antiderivative(F, u)
+    # each window reaches past one end of the table
+    assert np.allclose(F.window_integral(u, v), want, rtol=1e-12, atol=0.0)
+
+
+def test_table_derivative_matches_slope_step(random_walk_table):
+    F = random_walk_table
+    xs, slopes = F.xs, np.diff(F.ys) / np.diff(F.xs)
+    rng = np.random.default_rng(13)
+    y = np.concatenate([rng.uniform(xs[0] - 1.0, xs[-1] + 1.0, 5000), xs[1:],
+                        [xs[0] - 1.0, -INF, INF]])
+    idx = np.clip(np.searchsorted(xs, y, side="right") - 1, 0, len(slopes) - 1)
+    step = np.where((y < xs[0]) | (y >= xs[-1]), 0.0, slopes[idx])
+    assert np.array_equal(F.pointwise_derived()(y), step)
+    # at the first node f is 0, as for every panel primitive; a null set
+    assert F.pointwise_derived()(xs[0]) == 0.0 != slopes[0]
+
+
+@pytest.mark.parametrize("edges, rows, F_edge0", [
+    ([0.0, 1.0, INF], [[1.0], [2.0]], 0.0),
+    ([0.0, 1.0, 2.0], [[1.0, NAN], [2.0, 0.0]], 0.0),
+    ([0.0, 1.0, 2.0], [[1.0], [-INF]], 0.0),
+    ([0.0, 1.0, 2.0], [[1.0], [2.0]], INF),
+    ([0.0, 1.0, 2.0], [[1.0], [2.0]], NAN),
+], ids=["edge_inf", "row_nan", "row_inf", "F_edge0_inf", "F_edge0_nan"])
+def test_panel_constructor_refuses_non_finite(edges, rows, F_edge0):
+    with pytest.raises(ValueError, match="must be finite"):
+        PiecewiseChebyshevPrimitive(edges, rows, F_edge0=F_edge0)
+
+
+@pytest.mark.parametrize("windows", [
+    dict(scan=(NAN, 1.0)), dict(scan=(-INF, 1.0)), dict(scan=(1.0, -1.0)),
+    dict(scan=(0.5, 0.5)), dict(scan=(-1.0, 1.0), support=(0.0, NAN)),
+    dict(scan=(-1.0, 1.0), support=(0.5, -0.5)),
+], ids=["scan_nan", "scan_inf", "scan_reversed", "scan_empty", "support_nan",
+        "support_reversed"])
+def test_closed_form_constructor_refuses_bad_windows(windows):
+    with pytest.raises(ValueError, match="must be a finite window"):
+        ClosedFormPrimitive(np.sin, 0.0, 0.0, **windows)
 
 
 # -- integral ---------------------------------------------------------------
@@ -311,6 +407,30 @@ def test_build_oscillatory_tail_does_not_converge():
     f = lambda y: np.cos(np.asarray(y, dtype=float)) / np.asarray(y, dtype=float)
     with pytest.raises(NonConvergentTail):
         build_primitive_from_pointwise(f, (1.0, INF), 1e-8)
+
+
+def test_build_half_line_beyond_the_core_window():
+    # (-inf, -100) lies left of the core window [-64, 64]: it is built on the
+    # 128 left of -100, as (100, inf) is on the 128 right of 100
+    P = build_primitive_from_pointwise(np.exp, (-INF, -100.0), 1e-12)
+    assert P.support_window() == (-228.0, -100.0)
+    assert P.limit_pos == pytest.approx(math.exp(-100.0), abs=1e-12)
+    # a half-line reaching into the core window keeps the core's end
+    P = build_primitive_from_pointwise(np.exp, (-INF, 0.0), 1e-12)
+    assert P.support_window() == (-64.0, 0.0)
+    P = build_primitive_from_pointwise(lambda y: np.exp(np.asarray(y) + 100.0),
+                                       (-INF, -100.0), 1e-12)
+    Q = build_primitive_from_pointwise(lambda y: np.exp(100.0 - np.asarray(y)),
+                                       (100.0, INF), 1e-12)
+    assert Q.support_window() == (100.0, 228.0)
+    assert P.limit_pos == pytest.approx(1.0, rel=1e-12)
+    assert P.eval(-101.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert Q.eval(101.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+
+
+def test_build_empty_support_is_invalid():
+    with pytest.raises(InvalidSpec, match=r"support \[1.0, 1.0\] is empty"):
+        build_primitive_from_pointwise(np.ones_like, (1.0, 1.0), 1e-9)
 
 
 def test_evaluator_shape_mismatch_raises():
