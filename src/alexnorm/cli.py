@@ -115,6 +115,8 @@ def _parse_spec(spec, where: str, build):
         raise SpecParseError(f"{where}: expected an object")
     try:
         return build(spec)
+    except SpecParseError as exc:  # names a field of spec
+        raise SpecParseError(f"{where}.{exc}") from exc
     except KeyError as exc:
         raise SpecParseError(f"{where}.name: unknown builtin {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -385,13 +385,13 @@ def one_norm(f: Integrand) -> float:
 
 def primitive_gap_l1(f: Integrand, x: float) -> float:
     """integral of |F(y-x) - F(y)| dy, for absolutely integrable f: the
-    variation of W (machine-exact) for tables and panels without tail
-    estimates, else the adaptive builder's integral of |H| to 1e-10."""
+    variation of W (machine-exact) for tables and panels, tail panels
+    included, else the adaptive builder's integral of |H| to 1e-10."""
     _check_shift(x)
     F = f.primitive
     if x == 0.0:
         return 0.0
-    W = None if F.tail_estimated else _window_critical(F, x)
+    W = _window_critical(F, x)
     if W is not None:
         return float(np.abs(np.diff(W)).sum())
     ev = lambda y: np.abs(F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float)))

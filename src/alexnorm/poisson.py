@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import KernelSingularity, TailBoundFailure, ToleranceNotMet
+from .errors import InvalidSpec, KernelSingularity, TailBoundFailure, ToleranceNotMet
 from .norms import GapReport
 from .realfn import (Integrand, Interval, _as_interval, _call_vec,
                      build_primitive_from_pointwise, gauss_nodes, variation)
@@ -50,7 +50,8 @@ class PeriodicIntegrand:
     def __post_init__(self):
         lo, hi = self.base.primitive.support_window()
         if lo < -math.pi - 1e-9 or hi > math.pi + 1e-9:
-            raise ValueError("the base integrand must live on [-pi, pi]")
+            raise InvalidSpec(f"the base integrand must live on [-pi, pi], "
+                              f"not on [{lo}, {hi}]")
 
     def pointwise(self, phi):
         pt = self.base.pointwise_or_derived()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,16 +124,6 @@ def gauss_nodes(n: int):
     return x, w
 
 
-def gl_integral(func: Evaluator, a: float, b: float) -> float:
-    """64-point Gauss-Legendre quadrature of func over [a, b]."""
-    if a == b:
-        return 0.0
-    x, w = gauss_nodes(64)
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    return float(hw * np.dot(w, _call_vec(func, mid + hw * x)))
-
-
 # ---------------------------------------------------------------------------
 # Primitive representations
 # ---------------------------------------------------------------------------
@@ -144,7 +135,7 @@ class Primitive:
     limit_neg: float
     limit_pos: float
     label: str
-    tail_estimated = False  # limits carry an estimated tail mass
+    tail_estimated = False  # limits carry an extrapolated tail remainder beyond the panels
 
     def eval(self, x):
         raise NotImplementedError
@@ -271,8 +262,8 @@ class PiecewiseChebyshevPrimitive(Primitive):
 
     def eval(self, x):
         # finite points outside the panel range sit at the edge values; the
-        # declared limits (which may differ by an estimated tail mass) are
-        # returned exactly at +-inf
+        # declared limits (which may differ by an extrapolated tail remainder)
+        # are returned exactly at +-inf
         return self._eval_coef(x, self.Fc, float(self.F_edges[0]),
                                float(self.F_edges[-1]),
                                self.limit_neg, self.limit_pos)
@@ -688,18 +679,20 @@ def build_primitive_from_pointwise(
 ) -> PiecewiseChebyshevPrimitive:
     """Build F with F' = f_eval by globally adaptive Chebyshev panels.
 
-    The total quadrature error over the core window is driven below ``tol``
-    by splitting the worst panel first.  Infinite support endpoints are
-    truncated to the core window and the remaining mass is estimated from
-    doubling windows with geometric extrapolation.  Raises NonConvergentTail
-    when the tail cannot be stabilized, and ToleranceNotMet when the panel
+    The total quadrature error over all panels is driven below ``tol`` by
+    splitting the worst panel first.  Infinite support endpoints are
+    truncated to the core window, and beyond it windows doubling away from
+    the core are fitted as panels until three window masses shrink and the
+    last is below max(tol, 1e-13); only the geometric remainder beyond the
+    last window goes into the declared limit.  Raises NonConvergentTail when
+    the tail windows do not settle, and ToleranceNotMet when the panel
     budget is exhausted or the error estimate is not finite (NaN or infinite
     data).  A half-line beyond the core window is built on the 2 *
     core_halfwidth next to its finite end; an empty finite support raises
-    InvalidSpec.
+    InvalidSpec, and a tol outside (0, inf) raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     sup = _as_interval(support)
     left_inf = not math.isfinite(sup.a)
     right_inf = not math.isfinite(sup.b)
@@ -710,36 +703,55 @@ def build_primitive_from_pointwise(
             raise InvalidSpec(f"support [{sup.a}, {sup.b}] is empty")
         a, b = (b - 2.0 * core_halfwidth, b) if left_inf else (a, a + 2.0 * core_halfwidth)
 
-    hints = sorted({float(t) for t in breakpoints if a < t < b})
-    edges0 = [a] + hints + [b]
-
     heap = []
     done = []
-    seq = 0
+    seq = itertools.count()  # ties in error split in order of fitting
     total_err = 0.0
-    for i in range(len(edges0) - 1):
-        c, Iv, e = _fit_panel(f_eval, edges0[i], edges0[i + 1])
-        heapq.heappush(heap, (-e, seq, edges0[i], edges0[i + 1], c, Iv))
-        seq += 1
-        total_err += e
 
-    min_width = 64.0 * _EPS * max(1.0, abs(a), abs(b))
+    def push(pa: float, pb: float) -> float:
+        nonlocal total_err
+        c, Iv, e = _fit_panel(f_eval, pa, pb)
+        heapq.heappush(heap, (-e, next(seq), pa, pb, c, Iv))
+        total_err += e
+        return Iv
+
+    def tail(start: float, direction: int) -> float:
+        # doubling windows away from the core become panels; returns the
+        # geometric remainder beyond the last one
+        t, masses = start, []
+        while abs(t) <= 1e12:  # beyond, cancellation makes window masses meaningless
+            t_next = direction * 2.0 * max(abs(t), 1.0)
+            masses.append(push(min(t, t_next), max(t, t_next)))
+            t = t_next
+            last = np.abs(masses[-3:])
+            if (len(last) == 3 and np.all(last[1:] <= last[:-1] * 0.9 + 1e-300)
+                    and last[-1] < max(tol, 1e-13)):
+                r = last[-1] / last[-2] if last[-2] > 0 else 0.0
+                return masses[-1] * r / (1.0 - r) if 0.0 < r < 0.95 else 0.0
+        raise NonConvergentTail("doubling-window tail masses did not stabilize")
+
+    edges0 = [a] + sorted({float(t) for t in breakpoints if a < t < b}) + [b]
+    for pa, pb in zip(edges0[:-1], edges0[1:]):
+        push(pa, pb)
+    if math.isnan(total_err):  # NaN data, which no tail window settles either
+        raise ToleranceNotMet("error estimate is not finite (nan)")
+    # convention: F(-inf) = 0, so the panels start at the remainder left of them
+    left_rem = tail(a, -1) if left_inf else 0.0
+    right_rem = tail(b, +1) if right_inf else 0.0
+
     while total_err > tol and heap:
         if len(heap) + len(done) >= max_panels:
             raise ToleranceNotMet(
                 f"panel budget {max_panels} exhausted with error {total_err:.3e} > {tol:.3e}")
         neg_e, _, pa, pb, c, Iv = heapq.heappop(heap)
         e = -neg_e
-        if pb - pa <= min_width:
+        if pb - pa <= 64.0 * _EPS * max(1.0, abs(pa), abs(pb)):  # cannot be halved
             done.append((pa, pb, c, Iv, e))
             continue
         total_err -= e
         mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            c2, I2, e2 = _fit_panel(f_eval, qa, qb)
-            heapq.heappush(heap, (-e2, seq, qa, qb, c2, I2))
-            seq += 1
-            total_err += e2
+        push(pa, mid)
+        push(mid, pb)
     if not math.isfinite(total_err):
         # a NaN estimate compares False against tol and would end the loop
         raise ToleranceNotMet(f"error estimate is not finite ({total_err})")
@@ -753,44 +765,10 @@ def build_primitive_from_pointwise(
     panels.sort(key=lambda p: p[0])
     edges = np.asarray([p[0] for p in panels] + [panels[-1][1]])
     fcoefs = np.asarray([p[2] for p in panels])
-
-    left_mass = _tail_mass(f_eval, a, -1, tol) if left_inf else 0.0
-    right_mass = _tail_mass(f_eval, b, +1, tol) if right_inf else 0.0
-
-    # convention: F(-inf) = 0, so the table starts at the mass left of the core
-    out = PiecewiseChebyshevPrimitive(edges, fcoefs, F_edge0=left_mass, label=label,
+    out = PiecewiseChebyshevPrimitive(edges, fcoefs, F_edge0=left_rem, label=label,
                                       tail_estimated=left_inf or right_inf)
     if left_inf:
         out.limit_neg = 0.0
     if right_inf:
-        out.limit_pos = float(out.F_edges[-1] + right_mass)
+        out.limit_pos = float(out.F_edges[-1] + right_rem)
     return out
-
-
-def _tail_mass(f_eval, start: float, direction: int, tol: float) -> float:
-    """Signed mass of f beyond ``start`` in the given direction.
-
-    Windows double away from the core; each window integral is taken with the
-    usual left-to-right orientation, so the sum is the tail's contribution to
-    the primitive regardless of direction.
-    """
-    tail_tol = max(tol, 1e-13)
-    t = start
-    incs = []
-    for _ in range(48):
-        if abs(t) > 1e12:
-            # beyond this, cancellation makes window integrals meaningless
-            break
-        t_next = direction * 2.0 * max(abs(t), 1.0)
-        Iv = gl_integral(f_eval, min(t, t_next), max(t, t_next))
-        incs.append(Iv)
-        t = t_next
-        if len(incs) >= 3:
-            last = np.abs(incs[-3:])
-            if np.all(last[1:] <= last[:-1] * 0.9 + 1e-300) and abs(incs[-1]) < tail_tol:
-                r = abs(incs[-1]) / abs(incs[-2]) if abs(incs[-2]) > 0 else 0.0
-                total = float(np.sum(incs))
-                if 0.0 < r < 0.95:
-                    total += incs[-1] * r / (1.0 - r)
-                return total
-    raise NonConvergentTail("doubling-window tail integrals did not stabilize")

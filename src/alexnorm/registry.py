@@ -14,6 +14,7 @@ from typing import Dict
 import numpy as np
 from scipy.special import erf
 
+from .errors import SpecParseError
 from .norms import SmoothBump, sinc_integrand
 from .realfn import (ClosedFormPrimitive, Integrand,
                      PiecewiseLinearPrimitive)
@@ -178,7 +179,7 @@ _DESCRIPTIONS = {
     "reciprocal_quadratic": "w(y) = 1/(y^2+1); admissible weight",
     "exponential": "w(y) = e^y; constant ratio functions",
     "step_weight": "w = a below a threshold, b above; params a, b, threshold",
-    "constant": "w = c everywhere; param value",
+    "constant": "w = c everywhere; param c",
 }
 
 
@@ -197,27 +198,38 @@ def describe(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _field(spec: dict, key: str):
+    """spec[key]; an absent field raises SpecParseError naming it."""
+    if key not in spec:
+        raise SpecParseError(f"{key}: required for kind {spec.get('kind')!r}")
+    return spec[key]
+
+
 def function_from_spec(spec: dict) -> Integrand:
-    """{"kind": "builtin"|"closed_form"|"indicator"|"table", ...} -> Integrand."""
+    """{"kind": "builtin"|"closed_form"|"indicator"|"table", ...} -> Integrand.
+
+    A SpecParseError names the field at fault; an unknown builtin raises
+    KeyError with its name."""
     kind = spec.get("kind")
     if kind in ("builtin", "closed_form"):
-        return get_function(spec["name"])
+        return get_function(_field(spec, "name"))
     if kind == "indicator":
         return indicator(float(spec.get("a", 0.0)), float(spec.get("b", 1.0)))
     if kind == "table":
-        F = PiecewiseLinearPrimitive(spec["breakpoints"], spec["values"],
+        F = PiecewiseLinearPrimitive(_field(spec, "breakpoints"), _field(spec, "values"),
                                      spec.get("label", "table"))
         return Integrand(F, F.pointwise_derived(), spec.get("label", "table"))
-    raise KeyError(f"unknown function kind {kind!r}")
+    raise SpecParseError(f"kind: unknown function kind {kind!r}")
 
 
 def weight_from_spec(spec: dict) -> Weight:
-    """{"kind": "builtin"|"closed_form"|"table", "name": ..., params...} -> Weight."""
+    """{"kind": "builtin"|"closed_form"|"table", "name": ..., params...} -> Weight,
+    with errors as for ``function_from_spec``."""
     kind = spec.get("kind")
     if kind in ("builtin", "closed_form"):
         params = {k: v for k, v in spec.items() if k not in ("kind", "name")}
-        return get_weight(spec["name"], **params)
+        return get_weight(_field(spec, "name"), **params)
     if kind == "table":
-        return Weight.piecewise_constant(spec["breakpoints"], spec["values"],
+        return Weight.piecewise_constant(_field(spec, "breakpoints"), _field(spec, "values"),
                                          spec.get("label", "table_weight"))
-    raise KeyError(f"unknown weight kind {kind!r}")
+    raise SpecParseError(f"kind: unknown weight kind {kind!r}")

@@ -156,6 +156,34 @@ def test_parse_rejects_field_before_running(fields, where):
         parse_manifest(_scenario(**fields))
 
 
+@pytest.mark.parametrize("fields, where", [
+    ({"function_spec": {"kind": "table", "breakpoints": [0.0, 1.0]}},
+     r"function_spec\.values: required for kind 'table'"),
+    ({"function_spec": {"kind": "wavelet"}},
+     r"function_spec\.kind: unknown function kind 'wavelet'"),
+    ({"function_spec": {"kind": "builtin"}}, r"function_spec\.name: required"),
+    ({"kind": "weighted_sweep", "ladder": [0.5],
+      "weight_spec": {"kind": "table", "values": [1.0]}},
+     r"weight_spec\.breakpoints: required for kind 'table'"),
+    ({"kind": "weighted_sweep", "ladder": [0.5], "weight_spec": {"kind": "spline"}},
+     r"weight_spec\.kind: unknown weight kind 'spline'"),
+    # the constant builtin weight takes c, as README documents
+    ({"kind": "weighted_sweep", "ladder": [0.5],
+      "weight_spec": {"kind": "builtin", "name": "constant", "value": 2.0}},
+     r"weight_spec: .*unexpected keyword argument 'value'"),
+], ids=["table_without_values", "unknown_function_kind", "builtin_without_name",
+        "weight_table_without_breakpoints", "unknown_weight_kind", "constant_value"])
+def test_parse_spec_errors_name_the_field(fields, where):
+    with pytest.raises(SpecParseError, match=r"^scenarios\[0\]\." + where):
+        parse_manifest(_scenario(**fields))
+
+
+def test_parse_constant_weight_takes_c():
+    sc = parse_manifest(_scenario(kind="weighted_sweep", ladder=[0.5], weight_spec={
+        "kind": "builtin", "name": "constant", "c": 2.0})).scenarios[0]
+    assert sc.weight(np.asarray([0.0, 3.0])).tolist() == [2.0, 2.0]
+
+
 def test_parse_rejects_duplicate_output_path():
     # the later CSV would silently overwrite the earlier one
     manifest = _scenario()
@@ -374,6 +402,24 @@ def test_run_domain_error_is_scenario_error(tmp_path):
     assert entry["status"] == "error"
     assert "InvalidSpec" in entry["error"]
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_run_records_disc_data_off_the_period(tmp_path, capsys):
+    # boundary data outside [-pi, pi] is a scenario error, and the run goes on
+    data = _scenario(kind="poisson_disc", ladder=[0.5],
+                     function_spec={"kind": "indicator", "a": 0, "b": 4})
+    data["scenarios"].append(_scenario(name="t", output_path="t.csv")["scenarios"][0])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    assert main(["run", str(mpath), "--out", str(tmp_path / "o")]) == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    disc, norm = summary["scenarios"]
+    assert disc["status"] == "error" and disc["error"].startswith("InvalidSpec: ")
+    assert norm["passed"]
+    assert "[-pi, pi]" in disc["error"]
+    assert not (tmp_path / "o" / "s.csv").exists()
+    assert (tmp_path / "o" / "t.csv").exists()
+    assert "ERROR s" in capsys.readouterr().out
 
 
 # -- command line ------------------------------------------------------------

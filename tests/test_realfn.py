@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
-from alexnorm.realfn import (ClosedFormPrimitive, Interval, Partition,
+from alexnorm.norms import one_norm, primitive_gap_l1
+from alexnorm.realfn import (ClosedFormPrimitive, Integrand, Interval, Partition,
                              PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
                              _chained_antiderivative, _critical_points,
                              build_primitive_from_pointwise, integral,
@@ -96,7 +97,7 @@ def test_pointwise_matches_primitive_derivative():
 @pytest.fixture(scope="module")
 def window_primitives():
     # a table, a finite-support Chebyshev primitive, and a tail-estimated one
-    # whose declared limits differ from its edge values by the tail masses
+    # whose doubling tail windows are panels out to +-96
     return {
         "table": PiecewiseLinearPrimitive([0.0, 1.0, 2.5, 4.0], [0.5, 2.0, -1.0, 1.5]),
         "cheb": build_primitive_from_pointwise(
@@ -143,8 +144,10 @@ def test_window_integral_takes_arrays(window_primitives, name):
 def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
     P = window_primitives["tail"]
     a, b = P.support_window()
-    assert P.tail_estimated
-    assert P.limit_neg != P.F_edges[0] and P.limit_pos != P.F_edges[-1]
+    assert P.tail_estimated and (a, b) == (-96.0, 96.0)
+    # the limits carry only the extrapolated remainder beyond the tail panels
+    assert abs(P.limit_neg - P.F_edges[0]) <= 1e-11
+    assert abs(P.limit_pos - P.F_edges[-1]) <= 1e-11
     xs = [-INF, a - 1.0, 0.0, b + 1.0, INF, float("nan")]
     arr = P.eval(np.asarray(xs))
     assert np.array_equal(arr, [P.eval(x) for x in xs], equal_nan=True)
@@ -156,6 +159,42 @@ def test_tail_estimated_eval_limits_and_edge_values(window_primitives):
     # F(0) is the mass of e^{-|y|} left of 0
     assert arr[2] == pytest.approx(1.0, abs=1e-10)
     assert math.isnan(arr[5])
+
+
+def test_tail_panels_are_the_primitive_beyond_the_core(window_primitives):
+    # e^{-|y|} built on the core [-6, 6]: F(y) = e^y left of 0 and
+    # 2 - e^{-y} right of it, on the tail panels as on the core ones
+    P = window_primitives["tail"]
+    f = Integrand(P, lambda y: np.exp(-np.abs(np.asarray(y, dtype=float))))
+    assert P.window_integral(-9.0, -7.0) == pytest.approx(
+        math.exp(-7.0) - math.exp(-9.0), abs=1e-12)
+    assert P.eval(-20.0) == pytest.approx(math.exp(-20.0), abs=1e-12)
+    assert P.eval(20.0) == pytest.approx(2.0 - math.exp(-20.0), abs=1e-12)
+    assert one_norm(f) == pytest.approx(2.0, abs=1e-12)
+    # integral of |F(y - 3) - F(y)| is 3 * (F(inf) - F(-inf)) for monotone F
+    assert primitive_gap_l1(f, 3.0) == pytest.approx(6.0, abs=1e-10)
+
+
+def test_tail_panel_window_integrals_match_eval(window_primitives):
+    # window integrals inside and across the tail panels agree with a
+    # quadrature of F.eval there
+    P = window_primitives["tail"]
+    tails = P.edges[(P.edges <= -6.0) | (P.edges >= 6.0)]
+    assert len(tails) >= 8
+    u = np.r_[tails[:-1], -30.0, 5.0]
+    v = np.r_[tails[1:], -7.0, 40.0]
+    for p, q, got in zip(u, v, P.window_integral(u, v)):
+        assert got == pytest.approx(_quadrature_of_F(P, p, q), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [NAN, INF, 0.0, -1e-9])
+def test_build_refuses_tol_outside_zero_to_inf(tol):
+    # a NaN or infinite tol compares False against every error estimate and
+    # would skip refinement silently
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        build_primitive_from_pointwise(chi01, (0.0, 1.0), tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        build_primitive_from_pointwise(np.exp, (-INF, 0.0), tol)
 
 
 @pytest.mark.parametrize("name", ["table", "cheb", "tail"])
@@ -404,25 +443,30 @@ def test_build_gaussian_total_mass():
 
 
 def test_build_oscillatory_tail_does_not_converge():
+    # cos(y)/y: the doubling tail windows' masses never settle below tol
     f = lambda y: np.cos(np.asarray(y, dtype=float)) / np.asarray(y, dtype=float)
     with pytest.raises(NonConvergentTail):
         build_primitive_from_pointwise(f, (1.0, INF), 1e-8)
+    with pytest.raises(NonConvergentTail):
+        build_primitive_from_pointwise(f, (-INF, -1.0), 1e-8)
 
 
 def test_build_half_line_beyond_the_core_window():
     # (-inf, -100) lies left of the core window [-64, 64]: it is built on the
-    # 128 left of -100, as (100, inf) is on the 128 right of 100
+    # 128 left of -100, as (100, inf) is on the 128 right of 100; three
+    # doubling tail panels, [-456, -228], [-912, -456] and [-1824, -912], follow
     P = build_primitive_from_pointwise(np.exp, (-INF, -100.0), 1e-12)
-    assert P.support_window() == (-228.0, -100.0)
+    assert -228.0 in P.edges
+    assert P.support_window() == (-1824.0, -100.0)
     assert P.limit_pos == pytest.approx(math.exp(-100.0), abs=1e-12)
     # a half-line reaching into the core window keeps the core's end
     P = build_primitive_from_pointwise(np.exp, (-INF, 0.0), 1e-12)
-    assert P.support_window() == (-64.0, 0.0)
+    assert -64.0 in P.edges and P.support_window() == (-512.0, 0.0)
     P = build_primitive_from_pointwise(lambda y: np.exp(np.asarray(y) + 100.0),
                                        (-INF, -100.0), 1e-12)
     Q = build_primitive_from_pointwise(lambda y: np.exp(100.0 - np.asarray(y)),
                                        (100.0, INF), 1e-12)
-    assert Q.support_window() == (100.0, 228.0)
+    assert 228.0 in Q.edges and Q.support_window() == (100.0, 1824.0)
     assert P.limit_pos == pytest.approx(1.0, rel=1e-12)
     assert P.eval(-101.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert Q.eval(101.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
@@ -449,6 +493,9 @@ def test_build_nan_data_raises():
     # a NaN error estimate must not pass for a met tolerance
     with pytest.raises(ToleranceNotMet):
         build_primitive_from_pointwise(lambda y: np.full_like(y, np.nan), (0.0, 1.0), 1e-10)
+    # on an infinite support too, before any tail window is fitted
+    with pytest.raises(ToleranceNotMet):
+        build_primitive_from_pointwise(lambda y: np.full_like(y, np.nan), (-INF, INF), 1e-10)
 
 
 def test_builder_reproduces_subinterval_quadrature():
