@@ -5,7 +5,8 @@ behaviour on the disc and half-plane."""
 from .errors import (AlexnormError, DegenerateWeight, HypothesisViolated,
                      InvalidSpec, KernelSingularity, NonConvergentTail,
                      NonIntegrableProduct, NotAbsolutelyIntegrable,
-                     SpecParseError, TailBoundFailure, ToleranceNotMet)
+                     SpecFieldError, SpecParseError, TailBoundFailure,
+                     ToleranceNotMet)
 from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     alexiewicz_norm_halfline, gap_sweep, hk_not_l1_witness,
                     one_norm, osc_lower_bound_check, primitive_gap_l1,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import registry
 from .errors import (AlexnormError, HypothesisViolated, NotAbsolutelyIntegrable,
-                     SpecParseError)
+                     SpecFieldError, SpecParseError)
 from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     gap_sweep, hk_not_l1_witness, one_norm, osc_lower_bound_check,
                     primitive_gap_l1, primitive_gap_norm, slow_decay_construct,
@@ -115,10 +115,8 @@ def _parse_spec(spec, where: str, build):
         raise SpecParseError(f"{where}: expected an object")
     try:
         return build(spec)
-    except SpecParseError as exc:  # names a field of spec
-        raise SpecParseError(f"{where}.{exc}") from exc
-    except KeyError as exc:
-        raise SpecParseError(f"{where}.name: unknown builtin {exc.args[0]!r}") from exc
+    except SpecFieldError as exc:
+        raise SpecParseError(f"{where}.{exc.field}: {exc.reason}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecParseError(f"{where}: {exc}") from exc
 
@@ -138,7 +136,9 @@ def _psi_from_spec(spec):
     if spec.get("name") == "power":
         p = float(spec.get("exponent", 0.5))
         return lambda x: np.asarray(x, dtype=float) ** p
-    return _PSI_REGISTRY[spec.get("name")]
+    if spec.get("name") not in _PSI_REGISTRY:
+        raise SpecFieldError("name", f"unknown builtin {spec.get('name')!r}")
+    return _PSI_REGISTRY[spec["name"]]
 
 
 # lemma_check families: name -> (default interval, n-th member, limit in measure)

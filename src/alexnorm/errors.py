@@ -43,3 +43,11 @@ class HypothesisViolated(AlexnormError):
 
 class SpecParseError(AlexnormError):
     """Malformed scenario or manifest input; message names the offending field."""
+
+
+class SpecFieldError(SpecParseError):
+    """A function or weight spec field is missing or invalid; ``field`` names it."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"spec field {field!r}: {reason}")
+        self.field, self.reason = field, reason

@@ -42,9 +42,6 @@ from .errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -492,11 +489,14 @@ def integral(f: Integrand, I) -> float:
 
 def _dyadic_samples(h, I: Interval, levels: int, extra_points) -> np.ndarray:
     """h sampled for variation and oscillation: a Primitive's window stands
-    in for an infinite endpoint, and its breakpoints join extra_points."""
+    in for an infinite endpoint, and its breakpoints join extra_points (on
+    an unbounded I, a panel primitive's edges and the roots of its f)."""
     if isinstance(h, Integrand):
         h = h.primitive
     if isinstance(h, Primitive):
         ev, seeds = h.eval, h.breakpoints()
+        if not I.finite and h.pieces(True) is not None:
+            seeds = _critical_points([(1.0, 0.0, h.pieces(True))])
         lo, hi = h.support_window()
         a = I.a if math.isfinite(I.a) else lo
         b = I.b if math.isfinite(I.b) else hi
@@ -517,8 +517,11 @@ def variation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> flo
 
     Sums |h(p_{k+1}) - h(p_k)| over a dyadic refinement with 2**levels + 1
     points, augmented with the breakpoints of table representations (which
-    makes the result exact for piecewise-monotone tables).  Estimates are
-    monotone nondecreasing in ``levels`` and never exceed the true variation.
+    makes the result exact for piecewise-monotone tables).  On an unbounded
+    I the points span a Primitive's support window, tail panels included,
+    and take in a panel primitive's critical points, which makes the result
+    exact.  Estimates are monotone nondecreasing in ``levels`` and never
+    exceed the true variation.
     """
     I = _as_interval(I)
     if I.length == 0.0:

@@ -14,7 +14,7 @@ from typing import Dict
 import numpy as np
 from scipy.special import erf
 
-from .errors import SpecParseError
+from .errors import SpecFieldError
 from .norms import SmoothBump, sinc_integrand
 from .realfn import (ClosedFormPrimitive, Integrand,
                      PiecewiseLinearPrimitive)
@@ -199,27 +199,34 @@ def describe(name: str) -> dict:
 
 
 def _field(spec: dict, key: str):
-    """spec[key]; an absent field raises SpecParseError naming it."""
+    """spec[key]; an absent field raises SpecFieldError naming it."""
     if key not in spec:
-        raise SpecParseError(f"{key}: required for kind {spec.get('kind')!r}")
+        raise SpecFieldError(key, f"required for kind {spec.get('kind')!r}")
     return spec[key]
+
+
+def _builtin(spec: dict, builders: dict) -> str:
+    """spec["name"], which must be a key of builders."""
+    if _field(spec, "name") not in builders:
+        raise SpecFieldError("name", f"unknown builtin {spec['name']!r}")
+    return spec["name"]
 
 
 def function_from_spec(spec: dict) -> Integrand:
     """{"kind": "builtin"|"closed_form"|"indicator"|"table", ...} -> Integrand.
 
-    A SpecParseError names the field at fault; an unknown builtin raises
-    KeyError with its name."""
+    A missing field, an unknown kind or an unknown builtin raises
+    SpecFieldError naming the field."""
     kind = spec.get("kind")
     if kind in ("builtin", "closed_form"):
-        return get_function(_field(spec, "name"))
+        return get_function(_builtin(spec, _FUNCTION_BUILDERS))
     if kind == "indicator":
         return indicator(float(spec.get("a", 0.0)), float(spec.get("b", 1.0)))
     if kind == "table":
         F = PiecewiseLinearPrimitive(_field(spec, "breakpoints"), _field(spec, "values"),
                                      spec.get("label", "table"))
         return Integrand(F, F.pointwise_derived(), spec.get("label", "table"))
-    raise SpecParseError(f"kind: unknown function kind {kind!r}")
+    raise SpecFieldError("kind", f"unknown function kind {kind!r}")
 
 
 def weight_from_spec(spec: dict) -> Weight:
@@ -228,8 +235,8 @@ def weight_from_spec(spec: dict) -> Weight:
     kind = spec.get("kind")
     if kind in ("builtin", "closed_form"):
         params = {k: v for k, v in spec.items() if k not in ("kind", "name")}
-        return get_weight(_field(spec, "name"), **params)
+        return get_weight(_builtin(spec, _WEIGHT_BUILDERS), **params)
     if kind == "table":
         return Weight.piecewise_constant(_field(spec, "breakpoints"), _field(spec, "values"),
                                          spec.get("label", "table_weight"))
-    raise SpecParseError(f"kind: unknown weight kind {kind!r}")
+    raise SpecFieldError("kind", f"unknown weight kind {kind!r}")

@@ -25,8 +25,9 @@ from .errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                      NonConvergentTail, NonIntegrableProduct, ToleranceNotMet)
 from .norms import (GapReport, _check_shift, _difference_extrema, alexiewicz_norm,
                     gap_sweep)
-from .realfn import (Integrand, Interval, _as_interval, _call_vec, _critical_points,
-                     build_primitive_from_pointwise, variation)
+from .realfn import (Integrand, Interval, PiecewiseChebyshevPrimitive, _as_interval,
+                     _call_vec, _critical_points, build_primitive_from_pointwise,
+                     variation)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -372,33 +373,44 @@ def product_integrand(f, w: Weight, *, core_halfwidth: float = 64.0) -> Integran
     if fp is None:
         raise NonIntegrableProduct("no pointwise data for the product")
     prod = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * w(y)
-    P = _weighted_primitive(prod, f, w, 1e-10, core_halfwidth, label="product")
+    P = _weighted_primitive(prod, w, f, w, 1e-10, core_halfwidth, label="product")
     return Integrand(P, prod, "product")
 
 
-def _weighted_primitive(h: Evaluator, f, w: Weight, tol: float,
+def _weighted_primitive(h: Evaluator, g: Evaluator, f, w: Weight, tol: float,
                         core_halfwidth: float, *, x: float = 0.0, label: str = ""):
-    """Primitive of h, pointwise data of f times values of w and its shift
-    by x.  The jumps of w, of w(. + x) and of f are panel hints.  An f made
-    of panels without estimated tails vanishes outside them and confines the
-    support; any other f widens the core window to its own."""
+    """Primitive of h = f g, where g is w or w(. + x) - w.  The jumps of w,
+    of w(. + x) and of f are panel hints.  An f made of panels confines the
+    support to them, and the remainder its limits carry beyond them (a
+    tail-built f) is carried over times g at the panel ends; any other f
+    widens the core window to its own."""
     wb = w.breakpoints()
     hints = list(wb) + list(wb - x)
     support = Interval(-math.inf, math.inf)
     core = core_halfwidth
+    rem = (0.0, 0.0)
     if isinstance(f, Integrand):
         F = f.primitive
         lo, hi = F.support_window()
         hints.extend(F.breakpoints())
-        if F.pieces(True) is not None and not F.tail_estimated:
+        if F.pieces(True) is not None:
             support = Interval(lo, hi)
+            _, _, F_lo, F_hi = F.pieces(False)
+            rem = (F_lo - F.limit_neg, F.limit_pos - F_hi)
         else:
             core = max(core_halfwidth, abs(lo), abs(hi))
     try:
-        return build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
-                                              core_halfwidth=core, label=label)
+        P = build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
+                                           core_halfwidth=core, label=label)
     except (NonConvergentTail, ToleranceNotMet) as exc:
         raise NonIntegrableProduct(str(exc)) from exc
+    if rem == (0.0, 0.0):
+        return P
+    g_lo, g_hi = g(np.asarray([lo, hi]))  # a BV weight varies little out there
+    out = PiecewiseChebyshevPrimitive(P.edges, P.fc, g_lo * rem[0], label=label,
+                                      tail_estimated=True)
+    out.limit_neg, out.limit_pos = 0.0, float(out.F_edges[-1] + g_hi * rem[1])
+    return out
 
 
 def weighted_norm(f, w: Weight) -> float:
@@ -444,9 +456,9 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
 def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tuple:
     """(gap, C_x) for a shift x != 0: the oscillation of D and the ratio
     correction primitive it was built from."""
-    corr = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * (
-        w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float)))
-    C = _weighted_primitive(corr, f, w, build_tol, 64.0, x=x)
+    dw = lambda y: w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float))
+    corr = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * dw(y)
+    C = _weighted_primitive(corr, dw, f, w, build_tol, 64.0, x=x)
 
     g = G.pieces(True)
     if g is None:  # a constant weight times a closed-form f, so C = 0

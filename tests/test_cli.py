@@ -11,8 +11,9 @@ import pytest
 import alexnorm
 from alexnorm import cli
 from alexnorm.cli import load_manifest, main, parse_manifest, run
-from alexnorm.errors import SpecParseError
-from alexnorm.registry import describe, function_from_spec, registry_list
+from alexnorm.errors import SpecFieldError, SpecParseError
+from alexnorm.registry import (describe, function_from_spec, registry_list,
+                               weight_from_spec)
 
 
 # -- registry --------------------------------------------------------------
@@ -176,6 +177,21 @@ def test_parse_rejects_field_before_running(fields, where):
 def test_parse_spec_errors_name_the_field(fields, where):
     with pytest.raises(SpecParseError, match=r"^scenarios\[0\]\." + where):
         parse_manifest(_scenario(**fields))
+
+
+@pytest.mark.parametrize("build, spec, field", [
+    (function_from_spec, {"kind": "builtin", "name": "wavelet"}, "name"),
+    (function_from_spec, {"kind": "spline"}, "kind"),
+    (function_from_spec, {"kind": "table", "values": [0.0, 1.0]}, "breakpoints"),
+    (weight_from_spec, {"kind": "closed_form", "name": "gaussian"}, "name"),
+    (weight_from_spec, {"kind": "spline"}, "kind"),
+], ids=["unknown_builtin", "unknown_function_kind", "missing_field",
+        "function_as_weight", "unknown_weight_kind"])
+def test_spec_errors_are_one_type_naming_the_field(build, spec, field):
+    # the library raises one exception type for every spec mistake
+    with pytest.raises(SpecFieldError, match=rf"^spec field '{field}': ") as info:
+        build(spec)
+    assert info.value.field == field and isinstance(info.value, SpecParseError)
 
 
 def test_parse_constant_weight_takes_c():

@@ -187,6 +187,18 @@ def test_tail_panel_window_integrals_match_eval(window_primitives):
         assert got == pytest.approx(_quadrature_of_F(P, p, q), abs=1e-12)
 
 
+def test_variation_on_unbounded_intervals_sees_extrema_inside_panels():
+    # F = -exp(-(y - 0.3)^2)/2: its minimum at 0.3 lies inside a panel, and
+    # the window reaches the tail panels, far wider than the dyadic spacing
+    f = lambda y: (np.asarray(y) - 0.3) * np.exp(-(np.asarray(y) - 0.3) ** 2)
+    P = build_primitive_from_pointwise(f, (-INF, INF), 1e-11)
+    assert 0.3 not in P.edges
+    assert variation(P, Interval(-INF, INF)) == pytest.approx(1.0, abs=1e-12)
+    assert oscillation(P, Interval(-INF, INF)) == pytest.approx(0.5, abs=1e-12)
+    assert variation(Integrand(P, f), Interval(-INF, 1.0)) == pytest.approx(
+        1.0 - 0.5 * math.exp(-0.49), abs=1e-12)
+
+
 @pytest.mark.parametrize("tol", [NAN, INF, 0.0, -1e-9])
 def test_build_refuses_tol_outside_zero_to_inf(tol):
     # a NaN or infinite tol compares False against every error estimate and

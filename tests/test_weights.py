@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from alexnorm.errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                              NonIntegrableProduct)
 from alexnorm.norms import gap_sweep
-from alexnorm.realfn import Integrand, build_primitive_from_pointwise
+from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive,
+                            build_primitive_from_pointwise)
 from alexnorm.registry import get_function, get_weight
 from alexnorm.weights import (Weight, convergence_in_measure, product_integrand,
                               ratio_conditions_check, sufficient_conditions_check,
@@ -339,14 +340,39 @@ def test_weighted_gap_hints_closed_form_support_ends():
 
 
 def test_product_of_tail_estimated_panels_keeps_its_tails(rq):
-    # f = e^{-|y|} has panels on [-6, 6] and estimated tails beyond; the product
-    # with 1/(1 + y^2) must not be cut to the panels (it would lose 1.04e-4)
+    # f = e^{-|y|} is built on the core [-6, 6] with tail panels beyond; the
+    # product with 1/(1 + y^2) must cover those tail panels, not the core alone
     e = lambda y: np.exp(-np.abs(np.asarray(y, dtype=float)))
     P = build_primitive_from_pointwise(e, (-math.inf, math.inf), 1e-12, core_halfwidth=6.0)
     G = product_integrand(Integrand(P, e), rq).primitive
     want = 2.0 * quad(lambda y: math.exp(-y) / (1.0 + y * y), 0.0, math.inf,
                       epsabs=1e-14, epsrel=1e-14)[0]
     assert G.limit_pos - G.limit_neg == pytest.approx(want, abs=1e-9)
+
+
+def test_product_of_far_tail_panels(rq):
+    # at tol 1e-12 the tail panels of 1/(1 + y^2) reach +-1.1e12; a product
+    # core widened to them left its own tail no doubling window
+    P = build_primitive_from_pointwise(rq, (-math.inf, math.inf), 1e-12)
+    assert P.support_window()[1] > 1e12
+    f = Integrand(P, rq)
+    G = product_integrand(f, rq).primitive
+    assert G.limit_pos - G.limit_neg == pytest.approx(0.5 * math.pi, abs=1e-10)
+    # ||(tau_2 f - f) w|| = (1 + pi)/4 for f = w = 1/(1 + y^2)
+    gap = weighted_gap_sweep(f, rq, [2.0])[0].gap
+    assert gap == pytest.approx(0.25 * (1.0 + math.pi), abs=1e-10)
+
+
+def test_product_carries_the_remainder_beyond_the_tail_panels():
+    # F's limits differ from its edge values by a remainder of 0.25 on each
+    # side, which the product takes over times w at the panel ends
+    F = PiecewiseChebyshevPrimitive([0.0, 1.0], [[1.0]], F_edge0=0.25, tail_estimated=True)
+    F.limit_neg, F.limit_pos = 0.0, 1.5
+    G = product_integrand(Integrand(F), Weight.piecewise_constant([0.5], [2.0, 3.0])).primitive
+    assert G.tail_estimated and G.limit_neg == 0.0
+    assert G.eval(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert G.eval(1.0) == pytest.approx(0.5 + 2.5, abs=1e-12)
+    assert G.limit_pos == pytest.approx(3.0 + 0.75, abs=1e-12)
 
 
 @pytest.mark.parametrize("make", [
