@@ -320,9 +320,11 @@ def parse_manifest(data: dict) -> RunManifest:
 
 def load_manifest(path) -> RunManifest:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"manifest: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"manifest: cannot read {path} ({exc})") from exc
     return parse_manifest(data)
 
 

@@ -36,7 +36,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 
@@ -549,6 +548,13 @@ def oscillation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> f
         if not math.isfinite(I.b):
             lo, hi = min(lo, h.limit_pos), max(hi, h.limit_pos)
     return hi - lo
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on the first call so that
+    importing the package loads numpy only."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[float] = (),

@@ -12,7 +12,6 @@ import math
 from typing import Dict
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import SpecFieldError
 from .norms import SmoothBump, sinc_integrand
@@ -62,6 +61,7 @@ def _build_ramp() -> Integrand:
 
 def _build_gaussian() -> Integrand:
     def F_eval(y):
+        from scipy.special import erf
         return 0.5 * SQRT_PI * (1.0 + erf(np.asarray(y, dtype=float)))
 
     def f(y):

@@ -509,6 +509,45 @@ def test_cli_run_invalid_json(tmp_path):
     assert "invalid JSON" in cp.stderr
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_cli_run_unreadable_manifest(tmp_path, capsys, case):
+    # an unreadable path is a bad manifest (exit 2), not a failed verdict (exit 1)
+    mpath = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+             "not_utf8": tmp_path / "latin1.json"}[case]
+    if case == "not_utf8":
+        mpath.write_bytes(b'{"seed": "\xe9"}')
+    assert main(["run", str(mpath), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+_IMPORT_PATH_CHILD = """
+import math, sys
+import alexnorm
+from alexnorm import cli
+from alexnorm.poisson import HalfPlanePoint, poisson_halfplane
+from alexnorm.registry import get_function, get_weight, indicator
+cli.load_manifest(sys.argv[1])
+poisson_halfplane(indicator(-1.0, 1.0), get_weight("reciprocal_quadratic"),
+                  HalfPlanePoint(0.5, 0.2))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+norm = alexnorm.alexiewicz_norm(get_function("gaussian"))
+gap = alexnorm.translation_gap(get_function("sinc_primitive"), 0.25)
+print(math.isfinite(norm) and math.isfinite(gap))
+# bench/tracer.py wraps realfn's own minimize_scalar binding, which
+# grid_extrema calls through the module global
+print("minimize_scalar" in vars(alexnorm.realfn))
+"""
+
+
+def test_import_path_loads_no_scipy():
+    # numpy panel arithmetic needs no scipy: it loads on first closed-form use
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "canonical.json"
+    cp = subprocess.run([sys.executable, "-c", _IMPORT_PATH_CHILD, str(manifest)],
+                        capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.split("\n")[:3] == ["[]", "True", "True"]
+
+
 # -- options -------------------------------------------------------------------
 
 
