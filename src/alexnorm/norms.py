@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InvalidSpec, NonConvergentTail, NotAbsolutelyIntegrable)
 from .realfn import (ClosedFormPrimitive, Integrand, Interval,
-                     PiecewiseLinearPrimitive, Primitive, _call_vec,
+                     PiecewiseLinearPrimitive, Primitive, _EPS, _call_vec,
                      _critical_points, build_primitive_from_pointwise,
                      gauss_nodes, grid_extrema)
 
@@ -357,10 +357,15 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
         return primitive_gap_norm(f, -x)
     W = _window_critical(F, x)
     if W is None:
-        lo, hi = F.support_window()
-        window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)
-        ev = lambda a: _window_values_closed(F, np.asarray(a, dtype=float), x)
-        W = np.asarray(grid_extrema(ev, window, levels=14))
+        # W's oscillation does not change under a shift of F, so the estimate
+        # is cached with F's extrema, which its shifted copies share
+        key = ("pgn", x)
+        if key not in F._extrema_cache:
+            lo, hi = F.support_window()
+            window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)
+            ev = lambda a: _window_values_closed(F, np.asarray(a, dtype=float), x)
+            F._extrema_cache[key] = grid_extrema(ev, window, levels=14)
+        W = np.asarray(F._extrema_cache[key])
     W = np.r_[W, x * F.limit_neg, x * F.limit_pos]
     return float(W.max() - W.min())
 
@@ -412,7 +417,14 @@ def primitive_gap_l1(f: Integrand, x: float) -> float:
 
 
 def _sinc(y):
-    return np.sinc(np.asarray(y, dtype=float) / np.pi)
+    """np.sinc(y / pi) bit for bit: np.sinc's own steps, done in place."""
+    t = np.array(y, dtype=float)
+    t /= np.pi
+    t *= np.pi
+    np.copyto(t, _EPS, where=t == 0)  # np.sinc's guard at zero
+    s = np.sin(t)
+    s /= t
+    return s
 
 
 _SINC_PRIMITIVE = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0),

@@ -278,26 +278,28 @@ class HalfPlaneOperator:
                 "after window doubling")
 
         # 32 Gauss-Legendre nodes per panel, one row each; the rows of all
-        # points are evaluated in one call, then summed point by point, panel
-        # by panel, left to right
+        # points are evaluated in one call and dotted with the weights in
+        # another (np.vecdot gives each row np.dot's bits; rows @ wts does
+        # not), then summed point by point, panel by panel, left to right
         nodes, wts = gauss_nodes(32)
         hws, ts = [], []
         for z, tl, tr in zip(pts, TL.tolist(), TR.tolist()):
             edges = self._panel_edges(z, tl, tr)
             hw = 0.5 * (edges[1:] - edges[:-1])
             mids = 0.5 * (edges[:-1] + edges[1:])
-            hws.append(hw)
+            hws.append(hw.tolist())
             ts.append((mids[:, None] + hw[:, None] * nodes).ravel())
         xr = np.repeat(xs, [len(t) for t in ts])
         ts = np.concatenate(ts)
         rows = (G.eval(ts) * _psi_prime(w, xr, y, ts)).reshape(-1, len(nodes))
+        dots = np.vecdot(rows, wts).tolist()
         out = []
         first = 0
         for hw_i, ln, lp, pl, pr, gl in zip(hws, lim_neg.tolist(), lim_pos.tolist(),
                                             psiL.tolist(), psiR.tolist(), GL.tolist()):
             quad = 0.0
-            for hw, row in zip(hw_i, rows[first:first + len(hw_i)]):
-                quad += hw * float(np.dot(wts, row))
+            for hw, d in zip(hw_i, dots[first:first + len(hw_i)]):
+                quad += hw * d
             first += len(hw_i)
             # first-order tail corrections: G ~ G_inf right of TR, G ~ G(TL) left
             quad += self.G_inf * (lp - pr)

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from alexnorm.cli import serialize_gap_reports
 from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable
-from alexnorm.norms import (DecaySpec, SmoothBump, alexiewicz_norm,
+from alexnorm import norms
+from alexnorm.norms import (DecaySpec, SmoothBump, _sinc, alexiewicz_norm,
                             alexiewicz_norm_halfline, gap_sweep,
                             hk_not_l1_witness, one_norm, osc_lower_bound_check,
                             primitive_gap_l1, primitive_gap_norm, sinc_integrand,
                             slow_decay_construct, sweep_converged, translate,
                             translation_gap, verify_slow_decay)
 from alexnorm.poisson import halfplane_weighted_convergence
-from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive,
+from alexnorm.realfn import (ClosedFormPrimitive, Integrand, PiecewiseChebyshevPrimitive,
                              PiecewiseLinearPrimitive, build_primitive_from_pointwise)
 from alexnorm.registry import get_function, get_weight, indicator
 from alexnorm.weights import weighted_gap_sweep
@@ -470,3 +471,51 @@ def test_witness_small_shift_coefficients():
     rep = hk_not_l1_witness(0.1)
     assert rep.tail_coefficient_sin == pytest.approx(math.cos(0.1) - 1.0, abs=1e-15)
     assert rep.tail_coefficient_cos == pytest.approx(-math.sin(0.1), abs=1e-15)
+
+
+def _same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_sinc_matches_numpy_sinc_bit_for_bit():
+    rng = np.random.default_rng(4)
+    special = np.asarray([0.0, -0.0, INF, -INF, float("nan"), 1e-300, -5e-324, np.pi,
+                          -np.pi, 1e300, 2.0 ** 60])
+    ys = np.concatenate([special, rng.uniform(-400.0, 400.0, 2000),
+                         rng.standard_normal(500) * 1e-8])
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(_sinc(ys), np.sinc(ys / np.pi))
+        grid = ys[:2000].reshape(40, 50)
+        assert _same_bits(_sinc(grid), np.sinc(grid / np.pi))
+        for y in (0.0, -0.0, 2.5, -7.0, INF, 0, 3):
+            got, want = _sinc(y), np.sinc(np.asarray(y, dtype=float) / np.pi)
+            assert type(got) is type(want) and _same_bits(got, want), y
+        kept = ys.copy()
+        _sinc(ys)
+    assert _same_bits(ys, kept)  # the input is not written to
+
+
+def test_closed_form_primitive_gap_norm_is_computed_once_per_shift(monkeypatch):
+    # the witness norm of c06's ladder and of hk_not_l1_witness share one grid
+    # search; a shifted copy shares it too, since W's oscillation is shift invariant
+    calls = []
+    inner = norms.grid_extrema
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "grid_extrema", counted)
+    F = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0))
+    f = Integrand(F, None)
+    first = primitive_gap_norm(f, math.pi)
+    assert len(calls) == 1
+    assert primitive_gap_norm(f, math.pi) == first
+    assert primitive_gap_norm(Integrand(F.shifted(2.0), None), math.pi) == first
+    assert primitive_gap_norm(f, -math.pi) == first
+    assert len(calls) == 1
+    primitive_gap_norm(f, 1.0)
+    assert len(calls) == 2
+    F._extrema_cache.clear()
+    assert primitive_gap_norm(f, math.pi) == first
+    assert len(calls) == 3
