@@ -357,9 +357,9 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
         return primitive_gap_norm(f, -x)
     W = _window_critical(F, x)
     if W is None:
-        # W's oscillation does not change under a shift of F, so the estimate
-        # is cached with F's extrema, which its shifted copies share
-        key = ("pgn", x)
+        # cached with F's extrema; the shift is part of the key because the
+        # grid moves with it, so each shift keeps its own rounding
+        key = ("pgn", F.shift, x)
         if key not in F._extrema_cache:
             lo, hi = F.support_window()
             window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)

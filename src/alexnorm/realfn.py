@@ -238,31 +238,23 @@ class PiecewiseChebyshevPrimitive(Primitive):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
+        out = np.empty_like(x)
         lo_mask = x <= self.edges[0]
         hi_mask = x >= self.edges[-1]
-        if not (lo_mask.any() or hi_mask.any()):
-            # every point strictly inside the panels (or NaN, which stays
-            # NaN): no gather and no scatter
-            out = self._panel_values(x.ravel(), coef_rows).reshape(x.shape)
-            return float(out[0]) if scalar else out
-        out = np.empty_like(x)
         out[lo_mask] = below
         out[hi_mask] = above
         mid = ~(lo_mask | hi_mask)  # NaN lands here and stays NaN
         if mid.any():
-            out[mid] = self._panel_values(x[mid], coef_rows)
+            xm = x[mid]
+            idx = np.clip(np.searchsorted(self.edges, xm, side="right") - 1,
+                          0, len(self.edges) - 2)
+            a, b = self.edges[idx], self.edges[idx + 1]
+            xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
+            # each point runs the Clenshaw recurrence on its own panel's row
+            out[mid] = _cheb.chebval(xi, coef_rows.T[:, idx], tensor=False)
         out[np.isneginf(x)] = at_neg
         out[np.isposinf(x)] = at_pos
         return float(out[0]) if scalar else out
-
-    def _panel_values(self, xm, coef_rows):
-        """The series of coef_rows at 1-d points xm that lie on the panels."""
-        idx = np.clip(np.searchsorted(self.edges, xm, side="right") - 1,
-                      0, len(self.edges) - 2)
-        a, b = self.edges[idx], self.edges[idx + 1]
-        xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
-        # each point runs the Clenshaw recurrence on its own panel's row
-        return _cheb.chebval(xi, coef_rows.T[:, idx], tensor=False)
 
     def eval(self, x):
         # finite points outside the panel range sit at the edge values; the
@@ -568,21 +560,6 @@ def minimize_scalar(*args, **kwargs):
     return scipy_minimize_scalar(*args, **kwargs)
 
 
-def _top3(v: np.ndarray) -> np.ndarray:
-    """np.argsort(v)[::-1][:3]: the indices of the three largest values, the
-    largest first.  argpartition finds the top four; when they are strictly
-    increasing the top three are unique, so any sort picks them in the same
-    order.  Ties, a plateau or NaN among them fall back to argsort itself,
-    whose order of tied values is what the result must keep."""
-    n = len(v)
-    if n >= 4:
-        top = np.argpartition(v, n - 4)[-4:]
-        top = top[np.argsort(v[top])]
-        if (np.diff(v[top]) > 0).all():
-            return top[::-1][:3]
-    return np.argsort(v)[::-1][:3]
-
-
 def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[float] = (),
                  include: Sequence[float] = (), refine: bool = True) -> tuple:
     """(min, max) of a callable on a window: dense grid plus local refinement
@@ -602,7 +579,8 @@ def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[flo
     if refine and len(pts) > 2:
         for sign in (1.0, -1.0):
             v = vals if sign > 0 else -vals
-            for i in _top3(v):
+            order = np.argsort(v)[::-1][:3]
+            for i in order:
                 l = pts[max(i - 1, 0)]
                 r = pts[min(i + 1, len(pts) - 1)]
                 if r <= l:

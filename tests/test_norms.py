@@ -497,7 +497,8 @@ def test_sinc_matches_numpy_sinc_bit_for_bit():
 
 def test_closed_form_primitive_gap_norm_is_computed_once_per_shift(monkeypatch):
     # the witness norm of c06's ladder and of hk_not_l1_witness share one grid
-    # search; a shifted copy shares it too, since W's oscillation is shift invariant
+    # search; a shifted copy shares the cache but not the entry, since its grid
+    # moves with the shift and rounds differently
     calls = []
     inner = norms.grid_extrema
 
@@ -511,11 +512,15 @@ def test_closed_form_primitive_gap_norm_is_computed_once_per_shift(monkeypatch):
     first = primitive_gap_norm(f, math.pi)
     assert len(calls) == 1
     assert primitive_gap_norm(f, math.pi) == first
-    assert primitive_gap_norm(Integrand(F.shifted(2.0), None), math.pi) == first
     assert primitive_gap_norm(f, -math.pi) == first
     assert len(calls) == 1
-    primitive_gap_norm(f, 1.0)
+    moved = primitive_gap_norm(Integrand(F.shifted(2.0), None), math.pi)
     assert len(calls) == 2
+    fresh = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0)).shifted(2.0)
+    assert primitive_gap_norm(Integrand(fresh, None), math.pi) == moved
+    assert len(calls) == 3
+    primitive_gap_norm(f, 1.0)
+    assert len(calls) == 4
     F._extrema_cache.clear()
     assert primitive_gap_norm(f, math.pi) == first
-    assert len(calls) == 3
+    assert len(calls) == 5

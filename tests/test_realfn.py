@@ -8,7 +8,7 @@ from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 from alexnorm.norms import one_norm, primitive_gap_l1
 from alexnorm.realfn import (ClosedFormPrimitive, Integrand, Interval, Partition,
                              PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
-                             _chained_antiderivative, _critical_points, _top3,
+                             _chained_antiderivative, _critical_points,
                              build_primitive_from_pointwise, integral,
                              oscillation, variation)
 from alexnorm.registry import get_function, indicator
@@ -271,30 +271,6 @@ def test_cheb_eval_matches_per_panel_mask_loop(window_primitives, name):
     assert np.array_equal(F.eval(x), ref)
 
 
-@pytest.mark.parametrize("name", ["table", "cheb", "tail"])
-def test_cheb_eval_inside_points_match_a_straddling_batch(window_primitives, name):
-    # points strictly inside the panels skip the masks; they must get the bits
-    # they get inside a batch that also holds edges, outside points, +-inf and NaN
-    F = window_primitives[name]
-    e = F.edges
-    rng = np.random.default_rng(11)
-    inside = rng.uniform(e[0], e[-1], 500)
-    inside = np.concatenate([inside[(inside > e[0]) & (inside < e[-1])], e[1:-1]])
-    batch = np.concatenate([inside, e[[0, -1]], [e[0] - 2.0, e[-1] + 2.0, -INF, INF, NAN]])
-    derived = F.pointwise_derived()
-    for ev in (F.eval, derived):
-        want = ev(batch)[:len(inside)]
-        assert np.array_equal(ev(inside), want)
-        assert np.array_equal(ev(np.r_[inside, NAN]), np.r_[want, NAN], equal_nan=True)
-        assert ev(np.empty(0)).shape == (0,)
-        assert np.array_equal(ev(inside[:400].reshape(20, 20)), want[:400].reshape(20, 20))
-        assert ev(float(inside[3])) == want[3]
-    u = inside[:100]
-    far = [e[0] - 5.0, e[-1] + 5.0]
-    assert np.array_equal(F.window_integral(u, u + 0.25),
-                          F.window_integral(np.r_[u, far], np.r_[u + 0.25, far])[:100])
-
-
 def _closed_eval_masked(F, x):
     # the masked path that every closed-form input took before the all-finite one
     x = np.asarray(x, dtype=float)
@@ -332,29 +308,6 @@ def test_closed_form_eval_matches_the_masked_path(shift):
             assert got.shape == np.shape(x)
             assert np.array_equal(got, want, equal_nan=True)
     assert set(seen) == {1}  # the evaluator always gets a 1-d array
-
-
-def _top3_cases():
-    rng = np.random.default_rng(2)
-    for n in range(6):
-        yield rng.normal(size=n)
-    yield rng.normal(size=1000)
-    yield np.r_[rng.normal(size=100), np.full(7, 5.0)]  # a plateau at the top
-    yield np.zeros(300)  # flat: every value tied
-    yield rng.permutation(np.r_[rng.normal(size=100), [9.0, 8.0, 7.0, 7.0]])  # 3rd/4th tie
-    yield rng.permutation(np.r_[rng.normal(size=100), [9.0, 8.0, 7.0, 6.0, 6.0]])  # 4th/5th
-    yield rng.permutation(np.r_[rng.normal(size=100), [9.0, 9.0, 7.0]])  # 1st/2nd tie
-    yield rng.integers(0, 4, 500).astype(float)
-    yield np.r_[rng.normal(size=50), NAN, rng.normal(size=50)]
-    yield np.r_[NAN, NAN, 1.0, 2.0, 3.0]
-    yield np.r_[1.0, INF, -INF, 2.0, 3.0]
-    yield np.asarray([1.0, NAN, 2.0, 0.0])
-
-
-@pytest.mark.parametrize("v", list(_top3_cases()))
-def test_top3_matches_argsort(v):
-    for w in (v, -v):
-        assert np.array_equal(_top3(w), np.argsort(w)[::-1][:3])
 
 
 def test_critical_points_match_chebroots_per_panel():
