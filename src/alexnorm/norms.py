@@ -314,17 +314,27 @@ def osc_lower_bound_check(f: SmoothBump, xs: Sequence[float],
 # Shifted-primitive estimates
 # ---------------------------------------------------------------------------
 
+# grid points per block of closed-form window values: 48 nodes each, so about
+# 384 KiB per temporary
+_WINDOW_BLOCK = 1024
+
 
 def _window_values_closed(F: Primitive, a_pts: np.ndarray, x: float) -> np.ndarray:
     """Moving-window integrals W(a) = integral of F over [a-x, a], vectorized
-    Gauss-Legendre for closed-form primitives."""
+    Gauss-Legendre for closed-form primitives.
+
+    Runs in blocks of _WINDOW_BLOCK points, which bounds the temporaries; each
+    row is contracted by np.vecdot, which gives it the bits of np.dot whatever
+    the block and the BLAS thread count."""
     nodes, wts = gauss_nodes(48)
-    a_pts = np.asarray(a_pts, dtype=float)
     hw = 0.5 * x
-    centers = a_pts - hw
-    pts = centers[:, None] + hw * nodes[None, :]
-    vals = F.eval(pts.ravel()).reshape(pts.shape)
-    return hw * vals @ wts
+    centers = np.asarray(a_pts, dtype=float) - hw
+    out = np.empty(len(centers))
+    for i in range(0, len(centers), _WINDOW_BLOCK):
+        pts = centers[i:i + _WINDOW_BLOCK, None] + hw * nodes[None, :]
+        vals = F.eval(pts.ravel()).reshape(pts.shape)
+        out[i:i + _WINDOW_BLOCK] = np.vecdot(hw * vals, wts)
+    return out
 
 
 def _window_critical(F: Primitive, x: float) -> Optional[np.ndarray]:

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from alexnorm.cli import serialize_gap_reports
 from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable
 from alexnorm import norms
-from alexnorm.norms import (DecaySpec, SmoothBump, _sinc, alexiewicz_norm,
-                            alexiewicz_norm_halfline, gap_sweep,
+from alexnorm.norms import (DecaySpec, SmoothBump, _sinc, _window_values_closed,
+                            alexiewicz_norm, alexiewicz_norm_halfline, gap_sweep,
                             hk_not_l1_witness, one_norm, osc_lower_bound_check,
                             primitive_gap_l1, primitive_gap_norm, sinc_integrand,
                             slow_decay_construct, sweep_converged, translate,
                             translation_gap, verify_slow_decay)
 from alexnorm.poisson import halfplane_weighted_convergence
 from alexnorm.realfn import (ClosedFormPrimitive, Integrand, PiecewiseChebyshevPrimitive,
-                             PiecewiseLinearPrimitive, build_primitive_from_pointwise)
+                             PiecewiseLinearPrimitive, build_primitive_from_pointwise,
+                             gauss_nodes)
 from alexnorm.registry import get_function, get_weight, indicator
 from alexnorm.weights import weighted_gap_sweep
 
@@ -524,3 +525,39 @@ def test_closed_form_primitive_gap_norm_is_computed_once_per_shift(monkeypatch):
     F._extrema_cache.clear()
     assert primitive_gap_norm(f, math.pi) == first
     assert len(calls) == 5
+
+
+def _window_values_per_row(F, a_pts, x):
+    # reference: one np.dot per grid point over its 48 Gauss-Legendre nodes
+    nodes, wts = gauss_nodes(48)
+    hw = 0.5 * x
+    return np.array([np.dot(hw * F.eval((a - hw) + hw * nodes), wts) for a in a_pts])
+
+
+@pytest.mark.parametrize("name", ["sinc_primitive", "gaussian", "cosine"])
+def test_closed_form_window_values_match_per_row_dot(name):
+    # blocked rows keep np.dot's bits: in any block, alone or in a batch
+    F = get_function(name).primitive
+    x = math.pi
+    for n in (1, 2, 1023, 1024, 1025, 2 ** 14 + 1):
+        a = np.linspace(-12.0, 15.0, n)
+        got = _window_values_closed(F, a, x)
+        assert got.shape == (n,)
+        assert np.array_equal(got, _window_values_per_row(F, a, x))
+        for k in {0, n // 2, n - 1}:
+            assert np.array_equal(_window_values_closed(F, a[k:k + 1], x), got[k:k + 1])
+
+
+def test_closed_form_primitive_gap_norm_peak_memory():
+    # the 2^14 + 1 point grid of window values runs in blocks, so no temporary
+    # holds the whole grid times 48 nodes (about 6 MiB each)
+    import tracemalloc
+    import scipy.optimize  # noqa: F401  (loaded on first refinement; not traced)
+    F = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0))
+    tracemalloc.start()
+    try:
+        primitive_gap_norm(Integrand(F, None), math.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
