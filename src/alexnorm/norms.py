@@ -329,9 +329,10 @@ def _window_values_closed(F: Primitive, a_pts: np.ndarray, x: float) -> np.ndarr
     nodes, wts = gauss_nodes(48)
     hw = 0.5 * x
     centers = np.asarray(a_pts, dtype=float) - hw
+    offsets = hw * nodes
     out = np.empty(len(centers))
     for i in range(0, len(centers), _WINDOW_BLOCK):
-        pts = centers[i:i + _WINDOW_BLOCK, None] + hw * nodes[None, :]
+        pts = centers[i:i + _WINDOW_BLOCK, None] + offsets
         vals = F.eval(pts.ravel()).reshape(pts.shape)
         out[i:i + _WINDOW_BLOCK] = np.vecdot(hw * vals, wts)
     return out
