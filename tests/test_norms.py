@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,7 +552,6 @@ def test_closed_form_window_values_match_per_row_dot(name):
 def test_closed_form_primitive_gap_norm_peak_memory():
     # the 2^14 + 1 point grid of window values runs in blocks, so no temporary
     # holds the whole grid times 48 nodes (about 6 MiB each)
-    import tracemalloc
     import scipy.optimize  # noqa: F401  (loaded on first refinement; not traced)
     F = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0))
     tracemalloc.start()
