@@ -199,23 +199,12 @@ def _chained_antiderivative(edges: np.ndarray, coefs: np.ndarray, start: float):
     ints = _cheb.chebint(coefs, axis=1)  # a single all-zero column stays one column
     out[:, :ints.shape[1]] = 0.5 * np.diff(edges)[:, None] * ints
     left = _cheb.chebval(-1.0, out.T)
-    # chebval(1.0, row) is (row[0] - c1) + tail, with c0 and c1 Clenshaw's
-    # steps over row[1:] and tail = c0 + 2 c1; only row[0] moves in the chain,
-    # so those steps run for all rows at once (a 2-column row is row[0] + row[1])
-    if d == 1:
-        c1, tail = np.zeros(n), out[:, 1]
-    else:
-        c0, c1 = out[:, -2], out[:, -1]
-        for k in range(3, d + 1):
-            c0, c1 = out[:, -k] - c1, c0 + c1 * 2.0
-        tail = c0 + c1 * 2.0
-    heads = out[:, 0].tolist()
-    at_edges = [float(start)]
-    for i, (l, c, t) in enumerate(zip(left.tolist(), c1.tolist(), tail.tolist())):
-        heads[i] += at_edges[i] - l  # in order: each panel starts where the last ended
-        at_edges.append((heads[i] - c) + t)
-    out[:, 0] = heads
-    return out, np.array(at_edges)
+    at_edges = np.empty(n + 1)
+    at_edges[0] = start
+    for i, row in enumerate(out):  # in order: each panel starts where the last ended
+        row[0] += at_edges[i] - left[i]
+        at_edges[i + 1] = _cheb.chebval(1.0, row)
+    return out, at_edges
 
 
 class PiecewiseChebyshevPrimitive(Primitive):
