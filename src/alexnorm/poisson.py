@@ -233,6 +233,8 @@ class HalfPlaneOperator:
     """
 
     def __init__(self, f, w: Weight):
+        if not isinstance(w, Weight):
+            raise InvalidSpec(f"the weight must be a Weight, not {type(w).__name__}")
         self.f = f
         self.w = w
         self.fw = product_integrand(f, w, core_halfwidth=4096.0)
@@ -245,7 +247,9 @@ class HalfPlaneOperator:
     def values(self, xs, y: float, tol: float) -> np.ndarray:
         """u_y at every x of a 1-d array xs.  Each point runs its own window
         doubling and panel sums; the panel nodes of all points share one
-        G.eval and one Psi_z' call."""
+        G.eval and one Psi_z' call.  tol must lie in (0, inf)."""
+        if not 0.0 < tol < math.inf:
+            raise InvalidSpec(f"the tolerance must lie in (0, inf), not {tol}")
         xs = np.asarray(xs, dtype=float)
         pts = [HalfPlanePoint(float(x), y) for x in xs]
         if not pts:
@@ -324,9 +328,26 @@ class HalfPlaneOperator:
         return pts
 
 
+# (f, w, HalfPlaneOperator(f, w)) of the last one-shot poisson_halfplane call.
+# It is kept here, not on w: an entry on w would close the cycle w -> operator
+# -> w, so a dropped weight and its G would wait for the cyclic collector
+# instead of going at once.
+_last_halfplane = None
+
+
 def poisson_halfplane(f, w: Weight, z: HalfPlanePoint) -> float:
-    """One-shot evaluation of the weighted-parts Poisson integral, to 1e-6."""
-    return HalfPlaneOperator(f, w).value(z)
+    """One-shot evaluation of the weighted-parts Poisson integral, to 1e-6.
+
+    The operator of the last call is kept, so repeat calls with the same f and
+    w (by identity) build G once; f and w must not change afterwards."""
+    global _last_halfplane
+    if not isinstance(z, HalfPlanePoint):
+        raise InvalidSpec(f"the point must be a HalfPlanePoint, not {type(z).__name__}")
+    entry = _last_halfplane
+    if entry is None or entry[0] is not f or entry[1] is not w:
+        entry = (f, w, HalfPlaneOperator(f, w))  # InvalidSpec for a w that is no Weight
+        _last_halfplane = entry
+    return entry[2].value(z)
 
 
 def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,

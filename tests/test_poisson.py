@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alexnorm.cli import serialize_poisson_reports
 from alexnorm import poisson
@@ -13,7 +14,9 @@ from alexnorm.poisson import (HalfPlaneOperator, HalfPlanePoint,
                               halfplane_kernel, halfplane_kernel_mass,
                               halfplane_weighted_convergence, kernel_bv_audit,
                               kernel_pair, poisson_disc, poisson_halfplane)
-from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive, _call_vec,
+from alexnorm.norms import translate
+from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive,
+                             PiecewiseLinearPrimitive, _call_vec,
                              build_primitive_from_pointwise, gauss_nodes)
 from alexnorm.registry import get_function, get_weight, indicator
 from alexnorm.weights import Weight, weighted_gap_sweep
@@ -205,6 +208,101 @@ def test_poisson_halfplane_rejects_nonintegrable_product(rq):
     with pytest.raises(NonIntegrableProduct):
         poisson_halfplane(lambda t: np.asarray(t, dtype=float), rq,
                           HalfPlanePoint(0.0, 1.0))
+
+
+def _count_constructions(monkeypatch):
+    built = []
+    init = HalfPlaneOperator.__init__
+
+    def counted(self, f, w):
+        built.append((f, w))
+        init(self, f, w)
+
+    monkeypatch.setattr(HalfPlaneOperator, "__init__", counted)
+    return built
+
+
+def test_poisson_halfplane_reuses_the_operator_of_the_same_f_and_w(rq, monkeypatch):
+    f, g = indicator(0.0, 1.0), indicator(0.0, 1.0)
+    shifted = translate(f, 0.5)
+    const2 = Weight.constant(2.0)
+    zs = [HalfPlanePoint(x, y) for x, y in ((0.5, 0.2), (-1.0, 2.0), (3.0, 0.25),
+                                            (0.5, 1e-3), (40.0, 0.5))]
+    want = {(id(h), id(w)): [HalfPlaneOperator(h, w).value(z) for z in zs]
+            for h, w in ((f, rq), (g, rq), (g, const2), (shifted, rq))}
+    built = _count_constructions(monkeypatch)
+
+    def calls(h, w):
+        return [poisson_halfplane(h, w, z) for z in zs] == want[id(h), id(w)]
+
+    assert calls(f, rq) and calls(f, rq)
+    assert built == [(f, rq)]
+    # an equal but distinct f builds its own operator, and so does another w
+    assert g == f and calls(g, rq)
+    assert calls(g, const2) and calls(g, const2)
+    # a shifted copy shares f's primitive caches, never its operator
+    assert calls(f, rq) and calls(shifted, rq)
+    assert built == [(f, rq), (g, rq), (g, const2), (f, rq), (shifted, rq)]
+    assert want[id(shifted), id(rq)] != want[id(f), id(rq)]
+
+
+def test_poisson_halfplane_keeps_no_failed_construction(monkeypatch):
+    w = Weight.constant(1.0)
+    built = _count_constructions(monkeypatch)
+    linear = lambda t: np.asarray(t, dtype=float)
+    for _ in range(2):
+        with pytest.raises(NonIntegrableProduct):
+            poisson_halfplane(linear, w, HalfPlanePoint(0.0, 1.0))
+        assert poisson._last_halfplane is None or poisson._last_halfplane[0] is not linear
+    assert len(built) == 2
+
+
+def test_halfplane_entry_points_refuse_bad_input(rq, monkeypatch):
+    f = get_function("indicator_01")
+    bare = lambda y: np.ones_like(np.asarray(y, dtype=float))
+    with pytest.raises(InvalidSpec, match="Weight"):
+        HalfPlaneOperator(f, bare)
+    with pytest.raises(InvalidSpec, match="Weight"):
+        poisson_halfplane(f, bare, HalfPlanePoint(0.5, 0.2))
+    # the point is checked before anything is built
+    built = _count_constructions(monkeypatch)
+    with pytest.raises(InvalidSpec, match="HalfPlanePoint"):
+        poisson_halfplane(indicator(0.0, 1.0), rq, (0.5, 0.2))
+    assert built == []
+    op = HalfPlaneOperator(f, rq)
+    for tol in (math.nan, 0.0, -1e-6, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec, match="tolerance"):
+            op.value(HalfPlanePoint(0.5, 0.2), tol=tol)
+        with pytest.raises(InvalidSpec, match="tolerance"):
+            op.values(np.asarray([0.5, 3.0]), 0.2, tol)
+        with pytest.raises(InvalidSpec, match="tolerance"):
+            op.values(np.empty(0), 0.2, tol)
+
+
+def _table(edges, values):
+    F = PiecewiseLinearPrimitive(edges,
+                                 np.concatenate([[0.0], np.cumsum(values * np.diff(edges))]))
+    return Integrand(F, F.pointwise_derived())
+
+
+# Table weights are left out: the weighted-parts form drops the Stieltjes jump
+# terms at a table weight's breakpoints, so its values depend on w (a known
+# defect, ROADMAP open item 1).
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_poisson_halfplane_does_not_depend_on_the_weight(data):
+    widths = data.draw(st.lists(st.floats(1e-2, 2.0), min_size=1, max_size=5))
+    edges = data.draw(st.floats(-3.0, 1.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    values = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(widths),
+                                           max_size=len(widths))))
+    f = _table(edges, values)
+    w = data.draw(st.one_of(st.floats(0.1, 10.0).map(Weight.constant),
+                            st.just(get_weight("reciprocal_quadratic"))))
+    for x, y in data.draw(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(1e-2, 3.0)),
+                                   min_size=1, max_size=3)):
+        want = sum(v * halfplane_kernel_mass(y, a - x, b - x)
+                   for v, a, b in zip(values, edges[:-1], edges[1:]))
+        assert poisson_halfplane(f, w, HalfPlanePoint(x, y)) == pytest.approx(want, abs=1e-6)
 
 
 def test_halfplane_weighted_convergence_indicator(rq):
