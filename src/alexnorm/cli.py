@@ -122,8 +122,10 @@ def _parse_spec(spec, where: str, build):
 
 
 def _bare_constant(spec):
-    c = float(spec.get("value", 1.0))
-    return lambda y: np.full_like(np.asarray(y, dtype=float), c)
+    c = spec.get("value", 1.0)
+    if not _num(c):
+        raise SpecFieldError("value", "must be a finite number")
+    return lambda y: np.full_like(np.asarray(y, dtype=float), float(c))
 
 
 _PSI_REGISTRY = {
@@ -461,7 +463,7 @@ def _run_weight_audit(sc: Scenario, seed: int):
     w = sc.weight
     I = sc.params["interval"]
     xs = sc.ladder
-    rc = ratio_conditions_check(w, xs, [I], sc.params["eps"])
+    rc = ratio_conditions_check(w, xs, I, sc.params["eps"])
     scc = sufficient_conditions_check(w, I)
     rows = [
         f"ratio_uniform_bound,{_f(rc.uniform_bound)},,{_b(rc.bound_stable)}",

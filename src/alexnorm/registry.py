@@ -119,16 +119,16 @@ def _build_reciprocal_quadratic() -> Weight:
         return -2.0 * y / (y * y + 1.0) ** 2
 
     # Phi_y(x-t)/w(t) -> y/pi at both infinities for this weight
-    return Weight.closed_form(w, dw,
-                              kernel_ratio_limit=lambda z: (z.y / math.pi, z.y / math.pi),
-                              label="reciprocal_quadratic")
+    return Weight(w, derivative=dw,
+                  kernel_ratio_limit=lambda z: (z.y / math.pi, z.y / math.pi),
+                  label="reciprocal_quadratic")
 
 
 def _build_exponential() -> Weight:
     def w(y):
         return np.exp(np.asarray(y, dtype=float))
 
-    return Weight.closed_form(w, w, label="exponential")
+    return Weight(w, derivative=w, label="exponential")
 
 
 def step_weight(a: float = 1.0, b: float = 2.0, threshold: float = 0.0) -> Weight:

@@ -62,13 +62,6 @@ class Weight:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def closed_form(cls, func: Evaluator, derivative: Optional[Evaluator] = None,
-                    kernel_ratio_limit: Optional[Callable] = None,
-                    label: str = "") -> "Weight":
-        return cls(func, derivative=derivative,
-                   kernel_ratio_limit=kernel_ratio_limit, label=label)
-
-    @classmethod
     def piecewise_constant(cls, breakpoints, values, label: str = "") -> "Weight":
         bps = np.asarray(breakpoints, dtype=float)
         vals = np.asarray(values, dtype=float)
@@ -97,10 +90,6 @@ class Weight:
     def __call__(self, y):
         return _call_vec(self._func, np.asarray(y, dtype=float))
 
-    @property
-    def is_constant_one(self) -> bool:
-        return self.constant_value == 1.0
-
     def derivative(self, y):
         """w'(y) as declared: exactly zero for table and constant weights.  A
         closed form declared without a derivative raises InvalidSpec."""
@@ -111,14 +100,6 @@ class Weight:
     def breakpoints(self) -> np.ndarray:
         """Jump locations of a table weight; empty for every other weight."""
         return np.empty(0) if self._table is None else self._table[0]
-
-    def ratio_seeds(self, x: float, I: Interval) -> tuple:
-        """Jump locations of g_x inside I, for table weights."""
-        bp = self.breakpoints()
-        if not len(bp):
-            return ()
-        pts = np.union1d(bp, bp - x)
-        return tuple(pts[(pts >= I.a) & (pts <= I.b)])
 
     # -- grid estimates -----------------------------------------------------
 
@@ -155,9 +136,10 @@ class RatioFunction:
         return tuple(float(self(_midpoints(I, n)).max()) for n in (_GRID, 2 * _GRID))
 
     def variation_on(self, I, levels: int = 12) -> float:
-        I = _as_interval(I)
-        return variation(self, I, levels,
-                         extra_points=self.weight.ratio_seeds(self.x, I))
+        # the jumps of g_x: those of w and of w(. + x); the partition keeps
+        # the ones inside I
+        bp = self.weight.breakpoints()
+        return variation(self, I, levels, extra_points=np.union1d(bp, bp - self.x))
 
 
 def weight_ratio(w: Weight, x: float) -> RatioFunction:
@@ -169,8 +151,6 @@ class MeasureEstimate:
     """Fraction of the _GRID midpoint cells of an interval where a function
     strays from its target."""
 
-    interval: Interval
-    epsilon: float
     fraction: float
     l1_average: float
     x: float = 0.0
@@ -180,16 +160,15 @@ def convergence_in_measure(h_family: Mapping[float, Evaluator], target: Evaluato
                            I, eps: float) -> List[MeasureEstimate]:
     """Per shift: fraction of midpoint cells where |h_x - target| > eps, plus
     the companion L1 grid estimate of the integral of |h_x - target| over I."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must lie in (0, inf), not {eps}")
     I = _as_interval(I)
     mids = _midpoints(I, _GRID)
     tv = _call_vec(target, mids)
     out = []
     for x in sorted(h_family, key=lambda t: (-abs(t), t)):
         diff = np.abs(_call_vec(h_family[x], mids) - tv)
-        out.append(MeasureEstimate(interval=I, epsilon=eps,
-                                   fraction=float(np.mean(diff > eps)),
+        out.append(MeasureEstimate(fraction=float(np.mean(diff > eps)),
                                    l1_average=float(np.mean(diff) * I.length), x=x))
     return out
 
@@ -214,10 +193,17 @@ def _measure_converges(ests: Sequence[MeasureEstimate]) -> bool:
             and fr[-1] <= 0.05)
 
 
+def _positive_bounds(w: Weight, I: Interval) -> tuple:
+    """(m, M) of w on I's grid; DegenerateWeight unless m > 0 (NaN is not)."""
+    m, M = w.bounds_on(I)
+    if not m > 0:
+        raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
+    return m, M
+
+
 @dataclass(frozen=True)
 class RatioConditionsReport:
     xs: tuple
-    bound_per_x: tuple
     variation_per_x: tuple
     uniform_bound: float
     uniform_variation: float
@@ -228,55 +214,38 @@ class RatioConditionsReport:
     passed: bool
 
 
-def ratio_conditions_check(w: Weight, xs: Sequence[float], I_list: Sequence,
-                           eps: float, levels: int = 12) -> RatioConditionsReport:
-    """Evidence-grade verdicts on the three ratio conditions: uniform bound,
-    uniform variation, and convergence to 1 in measure on each interval
-    (the fraction of cells off by more than eps falls to at most 0.05)."""
+def ratio_conditions_check(w: Weight, xs: Sequence[float], I, eps: float,
+                           levels: int = 12) -> RatioConditionsReport:
+    """Evidence-grade verdicts on the three ratio conditions on I: uniform
+    bound, uniform variation, and convergence to 1 in measure (the fraction
+    of cells off by more than eps falls to at most 0.05)."""
     if not len(xs):
         raise ValueError("xs must be nonempty")
-    intervals = [_as_interval(I) for I in I_list]
+    I = _as_interval(I)
+    _positive_bounds(w, I)  # g_x divides by w
     xs_sorted = sorted(xs, key=lambda t: (-abs(t), t))
+    gs = [weight_ratio(w, x) for x in xs_sorted]
 
-    bounds = []
-    bound_deltas = []
-    variations = []
-    coarse_variations = []
-    for x in xs_sorted:
-        g = weight_ratio(w, x)
-        sups = [g.sup_on(I) for I in intervals]
-        b = max(s for s, _ in sups)
-        b2 = max(s2 for _, s2 in sups)
-        bounds.append(max(b, b2))
-        bound_deltas.append(abs(b - b2))
-        v = max(g.variation_on(I, levels) for I in intervals)
-        v2 = max(g.variation_on(I, levels + 1) for I in intervals)
-        variations.append(v2)
-        coarse_variations.append(v)
-
-    uniform_bound = max(bounds)
-    uniform_variation = max(variations)
-    bound_stable = all(d <= 1e-3 * (1.0 + b) for d, b in zip(bound_deltas, bounds))
+    sups = [g.sup_on(I) for g in gs]
+    coarse_variations = [g.variation_on(I, levels) for g in gs]
+    variations = [g.variation_on(I, levels + 1) for g in gs]
+    uniform_bound = max(max(b, b2) for b, b2 in sups)
+    bound_stable = all(abs(b - b2) <= 1e-3 * (1.0 + max(b, b2)) for b, b2 in sups)
     variation_stable = all(_refinement_stable(v, v2)
                            for v, v2 in zip(coarse_variations, variations))
 
-    family = {x: weight_ratio(w, x) for x in xs_sorted}
     one = lambda y: np.ones_like(np.asarray(y, dtype=float))
-    measures = []
-    measure_ok = True
-    for I in intervals:
-        ests = convergence_in_measure(family, one, I, eps)
-        measure_ok = measure_ok and _measure_converges(ests)
-        measures.extend(ests)
+    measures = convergence_in_measure(dict(zip(xs_sorted, gs)), one, I, eps)
+    measure_ok = _measure_converges(measures)
 
     passed = (math.isfinite(uniform_bound) and bound_stable and
               variation_stable and measure_ok)
     return RatioConditionsReport(
-        xs=tuple(xs_sorted), bound_per_x=tuple(bounds),
-        variation_per_x=tuple(variations), uniform_bound=uniform_bound,
-        uniform_variation=uniform_variation, bound_stable=bound_stable,
-        variation_stable=variation_stable, measure_estimates=tuple(measures),
-        measure_converges=measure_ok, passed=passed)
+        xs=tuple(xs_sorted), variation_per_x=tuple(variations),
+        uniform_bound=uniform_bound, uniform_variation=max(variations),
+        bound_stable=bound_stable, variation_stable=variation_stable,
+        measure_estimates=tuple(measures), measure_converges=measure_ok,
+        passed=passed)
 
 
 @dataclass(frozen=True)
@@ -294,9 +263,7 @@ def sufficient_conditions_check(w: Weight, I) -> SufficientConditionsReport:
     and continuity in measure of the weight itself on a compact interval
     (shifts 2^-1 ... 2^-9, eps 0.05)."""
     I = _as_interval(I)
-    m, M = w.bounds_on(I)
-    if m <= 0:
-        raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
+    m, M = _positive_bounds(w, I)
     bv = w.variation_on(I, 12)
     bv2 = w.variation_on(I, 13)
     bv_stable = _refinement_stable(bv, bv2)
@@ -306,7 +273,7 @@ def sufficient_conditions_check(w: Weight, I) -> SufficientConditionsReport:
     ests = convergence_in_measure(family, lambda y: w(y), I, 0.05)
     measure_ok = _measure_converges(ests)
 
-    passed = bool(m > 0 and math.isfinite(M) and bv_stable and measure_ok)
+    passed = bool(math.isfinite(M) and bv_stable and measure_ok)
     return SufficientConditionsReport(m_I=m, M_I=M, bv_local=bv2,
                                       bv_stable=bv_stable,
                                       measure_continuity=tuple(ests), passed=passed)
@@ -318,7 +285,6 @@ class VariationBoundReport:
     lhs: float
     rhs: float
     m_I: float
-    M_used: float
     passed: bool
 
 
@@ -330,16 +296,11 @@ def variation_bound_check(w: Weight, x: float, I) -> VariationBoundReport:
     grid upper bound of w over I and I+x, covering the shifted evaluations.
     """
     I = _as_interval(I)
-    g = weight_ratio(w, x)
-    lhs = g.variation_on(I)
-    m, M0 = w.bounds_on(I)
-    if m <= 0:
-        raise DegenerateWeight(f"grid infimum {m} is not positive on [{I.a}, {I.b}]")
-    _, M1 = w.bounds_on(I.shifted(x))
-    M = max(M0, M1)
+    m, M0 = _positive_bounds(w, I)
+    lhs = weight_ratio(w, x).variation_on(I)
+    M = max(M0, w.bounds_on(I.shifted(x))[1])
     rhs = w.variation_on(I.shifted(x)) / m + M * w.variation_on(I) / (m * m)
-    return VariationBoundReport(x=x, lhs=lhs, rhs=rhs, m_I=m, M_used=M,
-                                passed=lhs <= rhs + 1e-9)
+    return VariationBoundReport(x=x, lhs=lhs, rhs=rhs, m_I=m, passed=lhs <= rhs + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +393,7 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
         raise ValueError("xs must be nonempty")
     for x in xs:
         _check_shift(x)
-    if w.is_constant_one and isinstance(f, Integrand):
+    if w.constant_value == 1.0 and isinstance(f, Integrand):
         return gap_sweep(f, xs, tol)
 
     build_tol = 1e-10
@@ -481,7 +442,6 @@ class LemmaBoundReport:
     witnessed: bool
     variations: tuple
     sup_values: tuple
-    close_fractions: tuple
 
 
 def uniform_bound_lemma_check(g_seq: Sequence[Evaluator], E, g_limit: Evaluator,
@@ -489,11 +449,13 @@ def uniform_bound_lemma_check(g_seq: Sequence[Evaluator], E, g_limit: Evaluator,
     """Witness the uniform bound M + 1 + sup|g| for a variation-bounded family
     converging in measure to a BV limit; variations take 12 dyadic levels,
     sups the _GRID midpoint cells (sup|g| also 2 * _GRID), and both
-    comparisons a slack of 1e-9.
+    comparisons a slack of 1e-9.  M must be finite.
 
     Raises HypothesisViolated when a family member exceeds the variation
     budget M on the sampled window (the hypotheses fail, not the library).
     """
+    if not math.isfinite(M):
+        raise ValueError(f"the variation budget M must be finite, not {M}")
     E = _as_interval(E)
     tol = 1e-9
     variations = []
@@ -505,20 +467,9 @@ def uniform_bound_lemma_check(g_seq: Sequence[Evaluator], E, g_limit: Evaluator,
         variations.append(Vn)
 
     mids = _midpoints(E, _GRID)
-    gv = _call_vec(g_limit, mids)
-    g_sup = max(float(np.abs(gv).max()),
+    g_sup = max(float(np.abs(_call_vec(g_limit, mids)).max()),
                 float(np.abs(_call_vec(g_limit, _midpoints(E, 2 * _GRID))).max()))
     bound = M + 1.0 + g_sup
-
-    sups = []
-    fracs = []
-    witnessed = True
-    for gn in g_seq:
-        vals = _call_vec(gn, mids)
-        sn = float(np.abs(vals).max())
-        sups.append(sn)
-        fracs.append(float(np.mean(np.abs(vals - gv) > 1.0)))
-        witnessed = witnessed and sn <= bound + tol
-    return LemmaBoundReport(bound=bound, witnessed=witnessed,
-                            variations=tuple(variations), sup_values=tuple(sups),
-                            close_fractions=tuple(fracs))
+    sups = [float(np.abs(_call_vec(gn, mids)).max()) for gn in g_seq]
+    return LemmaBoundReport(bound=bound, witnessed=all(sn <= bound + tol for sn in sups),
+                            variations=tuple(variations), sup_values=tuple(sups))

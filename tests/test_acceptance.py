@@ -139,8 +139,7 @@ def test_c07a_ratio_conditions_three_weights():
     for name, I in (("reciprocal_quadratic", (-10.0, 10.0)),
                     ("exponential", (-3.0, 3.0)),
                     ("step_weight", (-1.0, 1.0))):
-        rep = ratio_conditions_check(get_weight(name), [0.5, 0.25, 0.1, 0.01],
-                                     [I], 0.1)
+        rep = ratio_conditions_check(get_weight(name), [0.5, 0.25, 0.1, 0.01], I, 0.1)
         ok = ok and rep.passed
     _report("c07a", ok)
 

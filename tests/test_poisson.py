@@ -498,7 +498,7 @@ def test_halfplane_needs_a_declared_weight_derivative(rq):
         y = np.asarray(y, dtype=float)
         return 1.0 / (y * y + 1.0)   # the reciprocal_quadratic builtin's values
 
-    bare = Weight.closed_form(w, label="bare")
+    bare = Weight(w, label="bare")
     z = HalfPlanePoint(0.5, 0.2)
     with pytest.raises(InvalidSpec):
         poisson_halfplane(indicator(-1.0, 1.0), bare, z)
@@ -510,6 +510,31 @@ def test_halfplane_needs_a_declared_weight_derivative(rq):
 def test_kernel_bv_audit_point_window(rq):
     rep = kernel_bv_audit(rq, HalfPlanePoint(0.0, 1.0), (3.0, 3.0))
     assert rep.V_Psi == 0.0 and rep.V_invPsi == 0.0
+
+
+def test_kernel_pair_without_a_limit_raises_rather_than_nan():
+    # Phi/e^t has no limit at -inf: the probes overflow to inf and the
+    # Richardson estimates are NaN, which is refused, not returned
+    with pytest.raises(TailBoundFailure, match="no stable limit"):
+        kernel_pair(get_weight("exponential"), HalfPlanePoint(0.0, 1.0))
+    with pytest.raises(TailBoundFailure, match="no stable limit"):
+        poisson_halfplane(get_function("indicator_01"), get_weight("exponential"),
+                          HalfPlanePoint(0.0, 1.0))
+
+
+def test_kernel_pair_limits_of_constant_and_step_weights():
+    z = HalfPlanePoint(0.3, 0.7)
+    for w in (get_weight("constant", c=2.0), get_weight("step_weight")):
+        kp = kernel_pair(w, z)
+        assert abs(kp.psi_lim_neg) < 1e-12 and abs(kp.psi_lim_pos) < 1e-12
+
+
+def test_kernel_bv_audit_needs_no_kernel_limit():
+    # the audit reads Psi only, so a weight whose Psi has no limit at -inf
+    # still gets its windowed variation
+    rep = kernel_bv_audit(get_weight("exponential"), HalfPlanePoint(0.0, 1.0), (-5.0, 5.0))
+    assert rep.V_Psi == 1.8168935010375222
+    assert rep.bounded
 
 
 # -- serialization and types ----------------------------------------------------------

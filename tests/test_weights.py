@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from alexnorm.errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
@@ -72,14 +72,14 @@ def test_ratio_cocycle(x, xp, y):
 def test_ratio_conditions_three_weights(rq, expw, stepw):
     xs = [0.5, 0.25, 0.1, 0.01]
     for w in (rq, expw, stepw):
-        rep = ratio_conditions_check(w, xs, [(-10.0, 10.0)], 0.1)
+        rep = ratio_conditions_check(w, xs, (-10.0, 10.0), 0.1)
         assert rep.passed, w.label
 
 
 def test_ratio_conditions_variation_matches_closed_form(rq):
     # the ratio's exact variation on a window, from its reciprocal-pair extrema
     xs = [0.5, 0.1]
-    rep = ratio_conditions_check(rq, xs, [(-50.0, 50.0)], 0.1, levels=16)
+    rep = ratio_conditions_check(rq, xs, (-50.0, 50.0), 0.1, levels=16)
     for x, v in zip(rep.xs, rep.variation_per_x):
         q = abs(x) * math.sqrt(x * x + 4.0)
         g = weight_ratio(rq, x)
@@ -111,9 +111,79 @@ def test_sufficient_conditions_exponential_local(expw):
 
 
 def test_degenerate_weight_raises():
-    w = Weight.closed_form(lambda y: np.asarray(y, dtype=float))  # vanishes
+    w = Weight(lambda y: np.asarray(y, dtype=float))  # vanishes
     with pytest.raises(DegenerateWeight):
         sufficient_conditions_check(w, (-1.0, 1.0))
+
+
+def test_audits_refuse_a_weight_not_positive_on_the_grid():
+    # e^{-y^2} underflows to 0 on (30, 40); g_x would divide by it
+    w = Weight(lambda y: np.exp(-np.asarray(y, dtype=float) ** 2), label="gauss")
+    I = (30.0, 40.0)
+    for audit in (lambda: ratio_conditions_check(w, [0.5, 0.25], I, 0.1),
+                  lambda: sufficient_conditions_check(w, I),
+                  lambda: variation_bound_check(w, 0.5, I)):
+        with pytest.raises(DegenerateWeight,
+                           match=r"grid infimum 0\.0 is not positive on \[30\.0, 40\.0\]"):
+            audit()
+    nan_w = Weight(lambda y: np.full_like(np.asarray(y, dtype=float), np.nan))
+    with pytest.raises(DegenerateWeight, match="grid infimum nan"):
+        ratio_conditions_check(nan_w, [0.5], (-1.0, 1.0), 0.1)
+
+
+# eps and the variation budget M: non-finite, zero, negative and finite draws
+AUDIT_PARAMS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]),
+                         st.floats(min_value=1e-3, max_value=1e3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(eps=AUDIT_PARAMS)
+@example(eps=math.nan)
+@example(eps=math.inf)
+def test_ratio_check_refuses_an_eps_that_makes_the_verdict_vacuous(expw, eps):
+    # every fraction off by more than NaN or inf is 0, so such an eps would
+    # pass the measure condition for any weight
+    audit = lambda: ratio_conditions_check(expw, [0.5, 0.25], (-3.0, 3.0), eps)
+    if not 0.0 < eps < math.inf:
+        with pytest.raises(ValueError, match="eps"):
+            audit()
+        return
+    rep = audit()
+    nums = [rep.uniform_bound, rep.uniform_variation, *rep.variation_per_x]
+    nums += [v for e in rep.measure_estimates for v in (e.fraction, e.l1_average)]
+    assert all(math.isfinite(v) for v in nums)
+
+
+def test_ratio_check_measure_condition_at_a_real_eps(expw):
+    # e^{x} - 1 exceeds 0.1 everywhere for x = 0.5 and 0.25
+    rep = ratio_conditions_check(expw, [0.5, 0.25], (-3.0, 3.0), 0.1)
+    assert [e.fraction for e in rep.measure_estimates] == [1.0, 1.0]
+    assert not rep.passed
+
+
+SPIKES = [(lambda y, n=n: n * ((np.asarray(y, dtype=float) >= 0)
+                               & (np.asarray(y, dtype=float) < 1.0 / n)).astype(float))
+          for n in (1, 2, 4, 8, 16)]
+ZERO = lambda y: np.zeros_like(np.asarray(y, dtype=float))
+
+
+@settings(max_examples=8, deadline=None)
+@given(M=AUDIT_PARAMS)
+@example(M=math.nan)
+@example(M=math.inf)
+def test_lemma_check_refuses_a_budget_that_makes_the_verdict_vacuous(M):
+    # Vn > NaN is never true, so a NaN budget would turn the variation check off
+    audit = lambda: uniform_bound_lemma_check(SPIKES, (0.0, 1.0), ZERO, M)
+    if not math.isfinite(M):
+        with pytest.raises(ValueError, match="budget"):
+            audit()
+        return
+    try:
+        rep = audit()
+    except HypothesisViolated:
+        assert M < 16.0  # member 4 has variation 16
+        return
+    assert all(math.isfinite(v) for v in (rep.bound, *rep.variations, *rep.sup_values))
 
 
 def test_variation_bound_three_weights(rq, expw, stepw):
@@ -302,8 +372,7 @@ def test_table_weight_derivative_is_exactly_zero(stepw):
 
 
 def test_weight_without_derivative_raises():
-    bare = Weight.closed_form(lambda y: 1.0 / (np.asarray(y, dtype=float) ** 2 + 1.0),
-                              label="bare")
+    bare = Weight(lambda y: 1.0 / (np.asarray(y, dtype=float) ** 2 + 1.0), label="bare")
     with pytest.raises(InvalidSpec, match="bare"):
         bare.derivative(np.asarray([0.5]))
     assert bare(np.asarray([1.0]))[0] == 0.5  # the weight itself still evaluates
