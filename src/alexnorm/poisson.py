@@ -239,6 +239,21 @@ class HalfPlaneOperator:
         self.fw = product_integrand(f, w, core_halfwidth=4096.0)
         self.G = self.fw.primitive
         self.G_inf = self.G.limit_pos
+        # G is exactly constant beyond its panels; a side whose edge value is
+        # its limit (no tail remainder) needs no quadrature beyond the edge
+        self._g_span = (-math.inf, math.inf)
+        pieces = self.G.pieces(False)
+        if pieces is not None:
+            edges, _, below, above = pieces
+            self._g_span = (float(edges[0]) if below == self.G.limit_neg else -math.inf,
+                            float(edges[-1]) if above == self.G.limit_pos else math.inf)
+        # panel edges every point shares: w's jumps, G's edges (when few) and f's
+        shared = [w.breakpoints()]
+        if len(self.G.breakpoints()) <= 64:
+            shared.append(self.G.breakpoints())
+        if isinstance(f, Integrand):
+            shared.append(f.primitive.breakpoints())
+        self._shared_edges = np.concatenate(shared).astype(float)
 
     def value(self, z: HalfPlanePoint, tol: float = 1e-6) -> float:
         return float(self.values(np.asarray([z.x]), z.y, tol)[0])
@@ -257,20 +272,28 @@ class HalfPlaneOperator:
         lim_neg = np.asarray([kp.psi_lim_neg for kp in kps])
         lim_pos = np.asarray([kp.psi_lim_pos for kp in kps])
         G, w = self.G, self.w
-        TL, TR, psiL, psiR, GL = np.empty((5, len(xs)))
+        g_lo, g_hi = self._g_span
+        A, B, psiA, psiB, GA = np.empty((5, len(xs)))
         # the points whose tail bound is not yet met, with their x, window
         # half-width and kernel limits
         todo, x, T = np.arange(len(xs)), xs, np.full(len(xs), max(50.0 * y, 50.0))
         lo, hi = lim_neg, lim_pos
         for _ in range(14):
-            tl, tr = x - T, x + T
-            pr, pl = _psi(w, x, y, tr), _psi(w, x, y, tl)
-            gl = G.eval(tl)
-            # residual after the first-order tail corrections below; the
-            # factor 2 covers non-monotone kernel tails
-            resid = 2.0 * (np.abs(self.G_inf - G.eval(tr)) * np.abs(hi - pr)
-                           + np.abs(gl) * np.abs(pl - lo))
-            TL[todo], TR[todo], psiR[todo], psiL[todo], GL[todo] = tl, tr, pr, pl, gl
+            # the window [x - T, x + T] clipped to where G varies; a window
+            # that misses that span collapses to its own near end
+            a = np.minimum(np.maximum(x - T, g_lo), x + T)
+            b = np.maximum(np.minimum(x + T, g_hi), a)
+            n = len(x)
+            ends = np.concatenate([b, a])
+            ps = _psi(w, np.concatenate([x, x]), y, ends)
+            gs = G.eval(ends)
+            pb, pa, ga = ps[:n], ps[n:], gs[n:]
+            # residual after the first-order tail corrections below; each
+            # term vanishes on a clipped side, and the factor 2 covers
+            # non-monotone kernel tails
+            resid = 2.0 * (np.abs(self.G_inf - gs[:n]) * np.abs(hi - pb)
+                           + np.abs(ga - G.limit_neg) * np.abs(pa - lo))
+            A[todo], B[todo], psiB[todo], psiA[todo], GA[todo] = a, b, pb, pa, ga
             unmet = ~(resid <= 0.5 * tol)  # a NaN bound is never met
             if not unmet.any():
                 break
@@ -280,14 +303,15 @@ class HalfPlaneOperator:
                 f"tail bound {resid[unmet].max():.3e} above {0.5 * tol:.3e} "
                 "after window doubling")
 
-        # 32 Gauss-Legendre nodes per panel, one row each; the rows of all
-        # points are evaluated in one call and dotted with the weights in
-        # another (np.vecdot gives each row np.dot's bits; rows @ wts does
-        # not), then summed point by point, panel by panel, left to right
-        nodes, wts = gauss_nodes(32)
+        # 16 Gauss-Legendre nodes per panel, one row each (the kernel's poles
+        # lie about a panel width off each panel); the rows of all points are
+        # evaluated in one call and dotted with the weights in another
+        # (np.vecdot gives each row np.dot's bits; rows @ wts does not), then
+        # summed point by point, panel by panel, left to right
+        nodes, wts = gauss_nodes(16)
         hws, ts = [], []
-        for z, tl, tr in zip(pts, TL.tolist(), TR.tolist()):
-            edges = self._panel_edges(z, tl, tr)
+        for z, a, b in zip(pts, A.tolist(), B.tolist()):
+            edges = self._panel_edges(z, a, b)
             hw = 0.5 * (edges[1:] - edges[:-1])
             mids = 0.5 * (edges[:-1] + edges[1:])
             hws.append(hw.tolist())
@@ -298,33 +322,25 @@ class HalfPlaneOperator:
         dots = np.vecdot(rows, wts).tolist()
         out = []
         first = 0
-        for hw_i, ln, lp, pl, pr, gl in zip(hws, lim_neg.tolist(), lim_pos.tolist(),
-                                            psiL.tolist(), psiR.tolist(), GL.tolist()):
+        for hw_i, ln, lp, pa, pb, ga in zip(hws, lim_neg.tolist(), lim_pos.tolist(),
+                                            psiA.tolist(), psiB.tolist(), GA.tolist()):
             quad = 0.0
             for hw, d in zip(hw_i, dots[first:first + len(hw_i)]):
                 quad += hw * d
             first += len(hw_i)
-            # first-order tail corrections: G ~ G_inf right of TR, G ~ G(TL) left
-            quad += self.G_inf * (lp - pr)
-            quad += gl * (pl - ln)
+            # first-order tail corrections: G ~ G_inf right of B, G ~ G(A) left
+            quad += self.G_inf * (lp - pb)
+            quad += ga * (pa - ln)
             out.append(self.G_inf * lp - quad)
         return np.asarray(out)
 
     def _panel_edges(self, z: HalfPlanePoint, TL: float, TR: float) -> np.ndarray:
-        offs = [0.0]
-        d = z.y
-        while z.x + d < TR or z.x - d > TL:
-            offs.append(d)
-            d *= 2.0
-        pts = [z.x + o for o in offs] + [z.x - o for o in offs[1:]] + [TL, TR]
-        pts.extend(self.w.breakpoints())
-        if len(self.G.breakpoints()) <= 64:
-            pts.extend(self.G.breakpoints())
-        if isinstance(self.f, Integrand):
-            pts.extend(self.f.primitive.breakpoints())
-        pts = np.asarray(pts, dtype=float)
-        pts = np.unique(pts[(pts >= TL) & (pts <= TR)])
-        return pts
+        # offsets y * 2^k until they pass both ends; those beyond are dropped below
+        reach = max(TR - z.x, z.x - TL)
+        n = math.frexp(reach)[1] - math.frexp(z.y)[1] + 3
+        offs = np.ldexp(z.y, np.arange(max(n, 0)))
+        pts = np.concatenate([[z.x, TL, TR], z.x + offs, z.x - offs, self._shared_edges])
+        return np.unique(pts[(pts >= TL) & (pts <= TR)])
 
 
 # (f, w, HalfPlaneOperator(f, w)) of the last one-shot poisson_halfplane call.

@@ -183,6 +183,11 @@ class Primitive:
         return self is other
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """a and b are the same float, the sign of a zero included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _finite_window(window, name: str) -> tuple:
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -246,14 +251,18 @@ class PiecewiseChebyshevPrimitive(Primitive):
         mid = ~(lo_mask | hi_mask)  # NaN lands here and stays NaN
         if mid.any():
             xm = x[mid]
-            idx = np.clip(np.searchsorted(self.edges, xm, side="right") - 1,
-                          0, len(self.edges) - 2)
+            # clamped in place: a fresh temporary costs page faults on large input
+            idx = np.searchsorted(self.edges, xm, side="right") - 1
+            idx = np.minimum(np.maximum(idx, 0, out=idx), len(self.edges) - 2, out=idx)
             a, b = self.edges[idx], self.edges[idx + 1]
-            xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
+            xi = (2.0 * xm - a - b) / (b - a)
+            xi = np.minimum(np.maximum(xi, -1.0, out=xi), 1.0, out=xi)
             # each point runs the Clenshaw recurrence on its own panel's row
             out[mid] = _cheb.chebval(xi, coef_rows.T[:, idx], tensor=False)
-        out[np.isneginf(x)] = at_neg
-        out[np.isposinf(x)] = at_pos
+        if not _same_bits(at_neg, below):
+            out[x == -np.inf] = at_neg
+        if not _same_bits(at_pos, above):
+            out[x == np.inf] = at_pos
         return float(out[0]) if scalar else out
 
     def eval(self, x):
@@ -660,10 +669,17 @@ def _cheb_fit_matrix(npts: int):
     return nodes, M
 
 
+@lru_cache(maxsize=8)
+def _cheb_moments(n: int):
+    # the even indices j < n and the integrals 2 / (1 - j^2) of T_j over [-1, 1]
+    j = np.arange(0, n, 2)
+    return j, 2.0 / (1.0 - j * j)
+
+
 def _cheb_integral(coefs: np.ndarray) -> float:
     # integral of a Chebyshev series over local coordinates [-1, 1]
-    j = np.arange(0, len(coefs), 2)
-    return float(np.dot(coefs[j], 2.0 / (1.0 - j * j)))
+    j, moments = _cheb_moments(len(coefs))
+    return float(np.dot(coefs[j], moments))
 
 
 def _fit_panel(f_eval, a: float, b: float):

@@ -40,13 +40,19 @@ def _zeros(y):
     return np.zeros_like(np.asarray(y, dtype=float))
 
 
+def _vanishing_kernel_ratio(z) -> tuple:
+    # Phi_z(t) -> 0 at +-inf, and a table or constant weight is bounded below
+    return 0.0, 0.0
+
+
 class Weight:
     """A positive weight function.
 
     Table weights are piecewise constant and normalized to right continuity on
     ingestion; their derivative is zero, the jumps being no part of it.
     ``kernel_ratio_limit(z)``, when given, returns the limits at -inf and +inf
-    of Phi_z(t)/w(t) (the half-plane kernel over the weight) in closed form.
+    of Phi_z(t)/w(t) (the half-plane kernel over the weight) in closed form;
+    table and constant weights declare the exact zeros.
     """
 
     def __init__(self, func: Evaluator, *, derivative: Optional[Evaluator] = None,
@@ -76,14 +82,16 @@ class Weight:
             idx = np.searchsorted(bps, np.asarray(y, dtype=float), side="right")
             return vals[idx]
 
-        return cls(step, derivative=_zeros, table=(bps, vals), label=label)
+        return cls(step, derivative=_zeros, table=(bps, vals),
+                   kernel_ratio_limit=_vanishing_kernel_ratio, label=label)
 
     @classmethod
     def constant(cls, c: float = 1.0, label: str = "constant") -> "Weight":
         if not 0 < c < math.inf:
             raise ValueError("a weight must be positive and finite")
         return cls(lambda y: np.full_like(np.asarray(y, dtype=float), c),
-                   derivative=_zeros, constant=c, label=label)
+                   derivative=_zeros, constant=c,
+                   kernel_ratio_limit=_vanishing_kernel_ratio, label=label)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -458,18 +466,18 @@ def uniform_bound_lemma_check(g_seq: Sequence[Evaluator], E, g_limit: Evaluator,
         raise ValueError(f"the variation budget M must be finite, not {M}")
     E = _as_interval(E)
     tol = 1e-9
-    variations = []
-    for i, gn in enumerate(g_seq):
+    mids = _midpoints(E, _GRID)
+    variations, sups = [], []
+    for i, gn in enumerate(g_seq):  # one pass, so any iterable is checked whole
         Vn = variation(gn, E)
         if Vn > M + tol:
             raise HypothesisViolated(
                 f"family member {i} has variation {Vn:.6g} > budget {M:.6g}")
         variations.append(Vn)
+        sups.append(float(np.abs(_call_vec(gn, mids)).max()))
 
-    mids = _midpoints(E, _GRID)
     g_sup = max(float(np.abs(_call_vec(g_limit, mids)).max()),
                 float(np.abs(_call_vec(g_limit, _midpoints(E, 2 * _GRID))).max()))
     bound = M + 1.0 + g_sup
-    sups = [float(np.abs(_call_vec(gn, mids)).max()) for gn in g_seq]
     return LemmaBoundReport(bound=bound, witnessed=all(sn <= bound + tol for sn in sups),
                             variations=tuple(variations), sup_values=tuple(sups))

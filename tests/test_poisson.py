@@ -345,22 +345,33 @@ def test_halfplane_harmonicity_spot_check(rq):
 
 def _value_per_panel(op, z, tol=1e-6):
     # reference: the half-plane value with one G.eval and one Psi_prime call
-    # per 32-node panel, summed left to right
+    # per 16-node panel, summed left to right.  The window is clipped to the
+    # panels of G on each side where G's edge value is its limit, and each
+    # residual term is the change of G beyond the window's end
     kp = kernel_pair(op.w, z)
     G = op.G
+    g_lo, g_hi = -math.inf, math.inf
+    pieces = G.pieces(False)
+    if pieces is not None:
+        edges, _, below, above = pieces
+        if below == G.limit_neg:
+            g_lo = edges[0]
+        if above == G.limit_pos:
+            g_hi = edges[-1]
     T = max(50.0 * z.y, 50.0)
     for _ in range(14):
-        TL, TR = z.x - T, z.x + T
-        psiR = float(_call_vec(kp.Psi, np.asarray([TR]))[0])
-        psiL = float(_call_vec(kp.Psi, np.asarray([TL]))[0])
-        dR = abs(kp.psi_lim_pos - psiR)
-        dL = abs(psiL - kp.psi_lim_neg)
-        resid = 2.0 * (abs(op.G_inf - G.eval(TR)) * dR + abs(G.eval(TL)) * dL)
+        A = min(max(z.x - T, g_lo), z.x + T)
+        B = max(min(z.x + T, g_hi), A)
+        psiB = float(_call_vec(kp.Psi, np.asarray([B]))[0])
+        psiA = float(_call_vec(kp.Psi, np.asarray([A]))[0])
+        dB = abs(kp.psi_lim_pos - psiB)
+        dA = abs(psiA - kp.psi_lim_neg)
+        resid = 2.0 * (abs(op.G_inf - G.eval(B)) * dB + abs(G.eval(A) - G.limit_neg) * dA)
         if resid <= 0.5 * tol:
             break
         T *= 2.0
-    edges = op._panel_edges(z, TL, TR)
-    nodes, wts = gauss_nodes(32)
+    edges = op._panel_edges(z, A, B)
+    nodes, wts = gauss_nodes(16)
     quad = 0.0
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
@@ -368,8 +379,8 @@ def _value_per_panel(op, z, tol=1e-6):
         hw = 0.5 * (b - a)
         ts = mid + hw * nodes
         quad += hw * float(np.dot(wts, G.eval(ts) * kp.Psi_prime(ts)))
-    quad += op.G_inf * (kp.psi_lim_pos - psiR)
-    quad += G.eval(TL) * (psiL - kp.psi_lim_neg)
+    quad += op.G_inf * (kp.psi_lim_pos - psiB)
+    quad += G.eval(A) * (psiA - kp.psi_lim_neg)
     return op.G_inf * kp.psi_lim_pos - quad
 
 
@@ -379,17 +390,23 @@ def _cubic():
     return Integrand(F, F.pointwise_derived(), "cubic")
 
 
-@pytest.mark.parametrize("pair", ["table_rq", "table_const2", "cheb_rq", "cheb_const2"])
+@pytest.mark.parametrize("pair", ["table_rq", "table_const2", "cheb_rq", "cheb_const2",
+                                  "offset_const2", "one_rq"])
 def test_halfplane_value_matches_per_panel_reference(rq, pair):
-    # the constant weight has no kernel_ratio_limit: its limits take _psi_limit
     f, w = {"table_rq": (get_function("indicator_01"), rq),
             "table_const2": (get_function("indicator_01"), Weight.constant(2.0)),
             "cheb_rq": (_cubic(), rq),
-            "cheb_const2": (_cubic(), Weight.constant(2.0))}[pair]
+            "cheb_const2": (_cubic(), Weight.constant(2.0)),
+            # G(-inf) = 10 here, so the left residual must be G's change
+            "offset_const2": (Integrand(PiecewiseLinearPrimitive([0.0, 1.0], [5.0, 6.0])),
+                              Weight.constant(2.0)),
+            # G carries tail remainders: its window is never clipped
+            "one_rq": (ONE, rq)}[pair]
     op = HalfPlaneOperator(f, w)
-    # inside, near the support's edge, left of it and far to the right; the
-    # last two points take 1 to 2 and 4 to 6 window doublings, the others
-    # none (and with the constant weight at y = 1e-3 none do).  At y = 2 the
+    # inside, near the support's edge, left of it and far to the right.  With
+    # G clipped, the first four points take no window doubling and the last
+    # two 1 to 6, until the window reaches G's panels (at y = 1e-3 under the
+    # constant weight none do); unclipped, one_rq takes 0 to 11.  At y = 2 the
     # first window half-width is 50y = 100, at the lower heights it is 50
     xs = np.asarray([0.5, 0.2, -1.0, 40.0, 130.0, 3000.0])
     for y in (1e-3, 0.5, 2.0):
@@ -399,12 +416,26 @@ def test_halfplane_value_matches_per_panel_reference(rq, pair):
             assert op.value(HalfPlanePoint(float(x), y)) == r, (x, y)
 
 
+def test_halfplane_clips_the_window_only_where_G_sits_at_its_limit(rq):
+    table = HalfPlaneOperator(get_function("indicator_01"), rq)
+    assert table._g_span == (0.0, 1.0)
+    offset = HalfPlaneOperator(Integrand(PiecewiseLinearPrimitive([0.0, 1.0], [5.0, 6.0])),
+                               Weight.constant(2.0))
+    assert offset._g_span == (0.0, 1.0)
+    # tail remainders on both sides, and a closed form with no panels
+    assert HalfPlaneOperator(ONE, rq)._g_span == (-math.inf, math.inf)
+    cos = HalfPlaneOperator(get_function("cosine"), Weight.constant(1.0))
+    assert cos.G.pieces(False) is None and cos._g_span == (-math.inf, math.inf)
+
+
 def test_halfplane_values_share_one_quadrature_call(rq, monkeypatch):
-    # k points: k kernel pairs, and one G.eval and one Psi_z' call over all
-    # their panel nodes (the window doubling evaluates G at the k window ends)
+    # k points: k kernel pairs; each window doubling step evaluates G and
+    # Psi_z once, at both ends of its points' windows, and one G.eval and one
+    # Psi_z' call go over all the panel nodes
     op = HalfPlaneOperator(get_function("indicator_01"), rq)
-    xs = np.asarray([0.5, 0.2, -1.0, 40.0, 3.0])
-    calls = {"kernel_pair": 0, "_psi_prime": 0, "nodes": []}
+    xs = np.asarray([0.5, 0.2, -1.0, 40.0, 3.0, 130.0])
+    calls = {"kernel_pair": 0, "_psi": 0, "_psi_prime": 0}
+    sizes = []
     G_eval = op.G.eval
 
     def counted(name):
@@ -416,17 +447,68 @@ def test_halfplane_values_share_one_quadrature_call(rq, monkeypatch):
         return wrapper
 
     def G_counted(t):
-        if np.size(t) > len(xs):
-            calls["nodes"].append(np.size(t))
+        sizes.append(np.size(t))
         return G_eval(t)
 
-    monkeypatch.setattr(poisson, "kernel_pair", counted("kernel_pair"))
-    monkeypatch.setattr(poisson, "_psi_prime", counted("_psi_prime"))
+    for name in calls:
+        monkeypatch.setattr(poisson, name, counted(name))
     monkeypatch.setattr(op.G, "eval", G_counted)
     op.values(xs, 0.5, 1e-6)
     assert calls["kernel_pair"] == len(xs)
     assert calls["_psi_prime"] == 1
-    assert len(calls["nodes"]) == 1 and calls["nodes"][0] % 32 == 0
+    # 130 takes two window doublings, the others none
+    assert sizes[:-1] == [2 * len(xs), 2, 2] and calls["_psi"] == 3
+    assert sizes[-1] % 16 == 0 and sizes[-1] > 0
+
+
+def _seeded_table(seed: int, n: int = 6):
+    # a seeded table on about [-2, 3] whose primitive starts at F(-inf) = 5
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.2, 1.0, n)) - 2.0
+    ys = 5.0 + np.r_[0.0, np.cumsum(rng.normal(size=n - 1))]
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("wname", ["constant", "rq", "table"])
+def test_halfplane_table_values_match_the_exact_kernel_mass(rq, seed, wname):
+    # u_y(x) = sum_j v_j * (kernel mass of the j-th cell), whatever the weight.
+    # The table weight jumps outside the table only: a jump inside G's span
+    # still loses its Stieltjes term (see the weight-independence test above)
+    w = {"constant": Weight.constant(2.0), "rq": rq,
+         "table": Weight.piecewise_constant([-2.5, 4.5], [1.0, 3.0, 0.5])}[wname]
+    nodes, F = _seeded_table(seed)
+    v = np.diff(F) / np.diff(nodes)
+    op = HalfPlaneOperator(Integrand(PiecewiseLinearPrimitive(nodes, F)), w)
+    lo, hi = nodes[0], nodes[-1]
+    g_max = float(np.abs(op.G.eval(nodes)).max())
+    xs = np.asarray([0.5 * (lo + hi), nodes[2], nodes[2] + 1e-3, lo - 0.01, hi + 0.3,
+                     -40.0, 75.0, 3000.0])
+    for y in (1e-3, 0.01, 0.1, 1.0, 10.0):
+        got = op.values(xs, y, 1e-6)
+        T0 = max(50.0 * y, 50.0)
+        for x, u in zip(xs.tolist(), got.tolist()):
+            exact = sum(vj * halfplane_kernel_mass(y, x - b, x - a)
+                        for vj, a, b in zip(v, nodes[:-1], nodes[1:]))
+            # a first window that covers the table leaves rounding alone: the
+            # nodes carry eps * |t| against a kernel that varies on the scale
+            # y, times G; farther points stop once the tail bound clears 1e-6
+            if x - T0 <= lo and x + T0 >= hi:
+                bound = 1e-12 + 64 * np.finfo(float).eps * g_max * (1 + abs(x)) / (math.pi * y)
+            else:
+                bound = 1e-6
+            assert abs(u - exact) <= bound, (x, y, u - exact)
+
+
+def test_halfplane_cubic_matches_mpmath(rq):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    op = HalfPlaneOperator(_cubic(), rq)
+    for x, y in ((0.3, 1e-3), (-0.9, 0.05), (1.4, 0.5), (4.0, 2.0), (0.0, 10.0)):
+        kern = lambda t: t ** 3 * y / (mpmath.pi * ((x - t) ** 2 + y * y))
+        pts = sorted({-1.0, 1.5, min(max(x, -1.0), 1.5)})
+        exact = float(mpmath.quad(kern, pts))
+        assert op.value(HalfPlanePoint(x, y)) == pytest.approx(exact, abs=1e-12), (x, y)
 
 
 def test_halfplane_values_tail_failure(rq):
@@ -523,10 +605,11 @@ def test_kernel_pair_without_a_limit_raises_rather_than_nan():
 
 
 def test_kernel_pair_limits_of_constant_and_step_weights():
+    # Phi_z -> 0 and these weights are bounded below: the limits are declared
     z = HalfPlanePoint(0.3, 0.7)
     for w in (get_weight("constant", c=2.0), get_weight("step_weight")):
         kp = kernel_pair(w, z)
-        assert abs(kp.psi_lim_neg) < 1e-12 and abs(kp.psi_lim_pos) < 1e-12
+        assert (kp.psi_lim_neg, kp.psi_lim_pos) == (0.0, 0.0)
 
 
 def test_kernel_bv_audit_needs_no_kernel_limit():

@@ -8,7 +8,7 @@ from alexnorm.errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 from alexnorm.norms import one_norm, primitive_gap_l1
 from alexnorm.realfn import (ClosedFormPrimitive, Integrand, Interval, Partition,
                              PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
-                             _chained_antiderivative, _critical_points,
+                             _chained_antiderivative, _cheb_integral, _critical_points,
                              build_primitive_from_pointwise, integral,
                              oscillation, variation)
 from alexnorm.registry import get_function, indicator
@@ -350,6 +350,63 @@ def test_cheb_eval_single_point_matches_array_path(window_primitives, name):
                 else:
                     assert isinstance(g, np.ndarray) and g.shape == (1,)
                 assert np.array_equal(np.ravel(g), ref[k:k + 1], equal_nan=True), (p, x)
+
+
+def _eval_coef_masked(P, x, coef_rows, below, above, at_neg, at_pos):
+    # reference: the panel evaluator with np.clip, writing the +-inf limits
+    # through np.isneginf and np.isposinf on every call
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    lo_mask = x <= P.edges[0]
+    hi_mask = x >= P.edges[-1]
+    out[lo_mask] = below
+    out[hi_mask] = above
+    mid = ~(lo_mask | hi_mask)
+    if mid.any():
+        xm = x[mid]
+        idx = np.clip(np.searchsorted(P.edges, xm, side="right") - 1, 0, len(P.edges) - 2)
+        a, b = P.edges[idx], P.edges[idx + 1]
+        xi = np.clip((2.0 * xm - a - b) / (b - a), -1.0, 1.0)
+        out[mid] = C.chebval(xi, coef_rows.T[:, idx], tensor=False)
+    out[np.isneginf(x)] = at_neg
+    out[np.isposinf(x)] = at_pos
+    return float(out[0]) if scalar else out
+
+
+@pytest.mark.parametrize("name", ["table", "cheb", "tail", "signed_zero"])
+def test_panel_eval_matches_the_masked_path_bit_for_bit(window_primitives, name):
+    if name == "signed_zero":
+        # an edge value -0.0 under a declared limit 0.0, the two equal but
+        # not the same bits
+        P = PiecewiseChebyshevPrimitive([-1.0, 0.5, 2.0], [[1.0, 0.5], [-2.0, 0.25]],
+                                        F_edge0=-0.0)
+        P.limit_neg = 0.0
+    else:
+        P = window_primitives[name]  # "tail" has limits off its edge values
+    e = P.edges
+    rng = np.random.default_rng(11)
+    special = [-INF, INF, NAN, -0.0, 0.0, e[0], e[-1]]
+    x = np.concatenate([e, rng.uniform(e[0] - 2.0, e[-1] + 2.0, 200), special])
+    x = x[:len(x) // 2 * 2]
+    rows = [(P.Fc, float(P.F_edges[0]), float(P.F_edges[-1]), P.limit_neg, P.limit_pos),
+            (P.fc, 0.0, 0.0, 0.0, 0.0)]
+    for args in rows:
+        for xin in [x, x.reshape(2, -1), np.asarray([INF])] + special:
+            got = P._eval_coef(xin, *args)
+            want = _eval_coef_masked(P, xin, *args)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), xin
+        got = P._eval_coef(np.asarray(-INF), *args)
+        assert type(got) is float and got == args[3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+def test_cheb_integral_keeps_its_bits(n):
+    coefs = np.random.default_rng(n).normal(size=n)
+    j = np.arange(0, n, 2)
+    assert _cheb_integral(coefs) == float(np.dot(coefs[j], 2.0 / (1.0 - j * j)))
 
 
 def _chained_per_panel(edges, coefs, start):

@@ -339,6 +339,15 @@ def test_lemma_constants():
     assert rep.witnessed
 
 
+def test_lemma_check_walks_its_family_once():
+    # a one-pass iterable gets the verdict of the list it came from
+    cs = (5.0, 50.0)
+    seq = [(lambda y, c=c: np.full_like(np.asarray(y, dtype=float), c)) for c in cs]
+    rep = uniform_bound_lemma_check(seq, (0.0, 1.0), ONE, 1.0)
+    assert rep == uniform_bound_lemma_check(iter(seq), (0.0, 1.0), ONE, 1.0)
+    assert rep.sup_values == cs and not rep.witnessed
+
+
 def test_lemma_spike_family_violates():
     seq = [(lambda y, n=n: n * ((np.asarray(y, dtype=float) >= 0)
                                 & (np.asarray(y, dtype=float) < 1.0 / n)).astype(float))
