@@ -13,11 +13,10 @@ from .norms import (DecaySpec, GapReport, SmoothBump, alexiewicz_norm,
                     primitive_gap_norm, sinc_integrand,
                     slow_decay_construct, sweep_converged, translate,
                     translation_gap, verify_slow_decay)
-from .poisson import (HalfPlaneOperator, HalfPlanePoint, KernelPair,
-                      PeriodicIntegrand, disc_boundary_convergence,
-                      disc_kernel_mass, halfplane_weighted_convergence,
-                      kernel_bv_audit, kernel_pair, poisson_disc,
-                      poisson_halfplane)
+from .poisson import (HalfPlaneOperator, HalfPlanePoint, PeriodicIntegrand,
+                      disc_boundary_convergence, disc_kernel_mass,
+                      halfplane_weighted_convergence, kernel_bv_audit,
+                      kernel_pair, poisson_disc, poisson_halfplane)
 from .realfn import (ClosedFormPrimitive, Integrand, Interval, Partition,
                      PiecewiseChebyshevPrimitive, PiecewiseLinearPrimitive,
                      Primitive, build_primitive_from_pointwise, integral,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -169,59 +169,39 @@ def halfplane_kernel_mass(y: float, a: float, b: float) -> float:
     return (math.atan2(b, y) - math.atan2(a, y)) / math.pi
 
 
-@dataclass(frozen=True)
-class KernelPair:
-    """The half-plane kernel Phi at a point z, paired with a weight:
-    Psi(t) = Phi(t)/w(t), its derivative, and the limits of Psi at +-inf."""
-
-    z: HalfPlanePoint
-    Psi: Callable
-    Psi_prime: Callable
-    psi_lim_neg: float
-    psi_lim_pos: float
-
-
 def _psi(w: Weight, x, y: float, t: np.ndarray) -> np.ndarray:
     """Psi_z(t) = Phi_y(x - t) / w(t), elementwise in x and t."""
     return halfplane_kernel(y, x - t) / w(t)
 
 
-def _psi_prime(w: Weight, x, y: float, t: np.ndarray) -> np.ndarray:
-    """Psi_z'(t), elementwise in x and t, from the weight's declared derivative."""
+def _psi_prime(w: Weight, u: np.ndarray, y: float, t: np.ndarray) -> np.ndarray:
+    """Psi_z'(t) at u = x - t, elementwise in u and t, from the weight's
+    declared derivative.  u is given, not formed from t, so that the kernel,
+    which varies on the scale y, sees no rounding of t."""
     wv = w(t)
-    u = x - t
     phi_prime = (y / math.pi) * 2.0 * u / (u * u + y * y) ** 2
     return (phi_prime * wv - halfplane_kernel(y, u) * w.derivative(t)) / (wv * wv)
 
 
-def kernel_pair(w: Weight, z: HalfPlanePoint) -> KernelPair:
-    x, y = z.x, z.y
-
-    def Psi(t):
-        return _psi(w, x, y, np.asarray(t, dtype=float))
-
-    def Psi_prime(t):
-        return _psi_prime(w, x, y, np.asarray(t, dtype=float))
-
+def kernel_pair(w: Weight, y: float) -> tuple:
+    """(psi_-, psi_+): the limits of Psi_z at -inf and +inf.  They depend on w
+    and y only, since Phi_y(x - t) ~ y / (pi t^2) for every x.  The weight's
+    declared kernel_ratio_limit(y) gives them, or else probes of Psi at x = 0;
+    probes that do not settle raise TailBoundFailure."""
     if w.kernel_ratio_limit is not None:
-        lim_neg, lim_pos = w.kernel_ratio_limit(z)
-    else:
-        lim_neg = _psi_limit(Psi, -1.0)
-        lim_pos = _psi_limit(Psi, +1.0)
-    return KernelPair(z=z, Psi=Psi, Psi_prime=Psi_prime,
-                      psi_lim_neg=lim_neg, psi_lim_pos=lim_pos)
-
-
-def _psi_limit(Psi, direction: float) -> float:
-    # one Richardson step on samples at t and 10t kills the O(1/t) term; the
-    # far probes may overflow, and a NaN or infinite estimate is no limit
+        lim_neg, lim_pos = w.kernel_ratio_limit(y)
+        return float(lim_neg), float(lim_pos)
+    # at each end, one Richardson step on samples at t and 10t kills the
+    # O(1/t) term; the far probes may overflow, and a NaN or infinite
+    # estimate is no limit
     with np.errstate(all="ignore"):
-        v1, v2, v3 = _call_vec(Psi, direction * np.asarray([1e7, 1e8, 1e9])).tolist()
-    est = v2 + (v2 - v1) / 9.0
-    est2 = v3 + (v3 - v2) / 9.0
-    if not abs(est2 - est) <= 1e-6 * (1.0 + abs(est2)):
+        v = _psi(w, 0.0, y, np.asarray([-1e7, -1e8, -1e9, 1e7, 1e8, 1e9])).reshape(2, 3)
+        est = v[:, 1] + (v[:, 1] - v[:, 0]) / 9.0
+        est2 = v[:, 2] + (v[:, 2] - v[:, 1]) / 9.0
+        settled = np.abs(est2 - est) <= 1e-6 * (1.0 + np.abs(est2))
+    if not settled.all():
         raise TailBoundFailure("the kernel/weight ratio has no stable limit")
-    return est2
+    return float(est2[0]), float(est2[1])
 
 
 class HalfPlaneOperator:
@@ -265,19 +245,17 @@ class HalfPlaneOperator:
         if not 0.0 < tol < math.inf:
             raise InvalidSpec(f"the tolerance must lie in (0, inf), not {tol}")
         xs = np.asarray(xs, dtype=float)
-        pts = [HalfPlanePoint(float(x), y) for x in xs]
-        if not pts:
+        if not len(xs):
             return np.empty(0)
-        kps = [kernel_pair(self.w, z) for z in pts]
-        lim_neg = np.asarray([kp.psi_lim_neg for kp in kps])
-        lim_pos = np.asarray([kp.psi_lim_pos for kp in kps])
+        if not (np.isfinite(xs).all() and 0.0 < y < math.inf):
+            raise ValueError("half-plane points need finite x and y > 0")
         G, w = self.G, self.w
+        lim_neg, lim_pos = kernel_pair(w, y)
         g_lo, g_hi = self._g_span
         A, B, psiA, psiB, GA = np.empty((5, len(xs)))
-        # the points whose tail bound is not yet met, with their x, window
-        # half-width and kernel limits
+        # the points whose tail bound is not yet met, with their x and window
+        # half-width
         todo, x, T = np.arange(len(xs)), xs, np.full(len(xs), max(50.0 * y, 50.0))
-        lo, hi = lim_neg, lim_pos
         for _ in range(14):
             # the window [x - T, x + T] clipped to where G varies; a window
             # that misses that span collapses to its own near end
@@ -291,56 +269,58 @@ class HalfPlaneOperator:
             # residual after the first-order tail corrections below; each
             # term vanishes on a clipped side, and the factor 2 covers
             # non-monotone kernel tails
-            resid = 2.0 * (np.abs(self.G_inf - gs[:n]) * np.abs(hi - pb)
-                           + np.abs(ga - G.limit_neg) * np.abs(pa - lo))
+            resid = 2.0 * (np.abs(self.G_inf - gs[:n]) * np.abs(lim_pos - pb)
+                           + np.abs(ga - G.limit_neg) * np.abs(pa - lim_neg))
             A[todo], B[todo], psiB[todo], psiA[todo], GA[todo] = a, b, pb, pa, ga
             unmet = ~(resid <= 0.5 * tol)  # a NaN bound is never met
             if not unmet.any():
                 break
-            todo, x, T, lo, hi = todo[unmet], x[unmet], 2.0 * T[unmet], lo[unmet], hi[unmet]
+            todo, x, T = todo[unmet], x[unmet], 2.0 * T[unmet]
         else:
             raise TailBoundFailure(
                 f"tail bound {resid[unmet].max():.3e} above {0.5 * tol:.3e} "
                 "after window doubling")
 
         # 16 Gauss-Legendre nodes per panel, one row each (the kernel's poles
-        # lie about a panel width off each panel); the rows of all points are
-        # evaluated in one call and dotted with the weights in another
-        # (np.vecdot gives each row np.dot's bits; rows @ wts does not), then
-        # summed point by point, panel by panel, left to right
+        # lie about a panel width off each panel), placed as offsets du from
+        # x: t = x + du, and the kernel takes u = -du exactly.  The rows of
+        # all points are evaluated in one call and dotted with the weights in
+        # another (np.vecdot gives each row np.dot's bits; rows @ wts does
+        # not), then summed point by point, panel by panel, left to right
         nodes, wts = gauss_nodes(16)
-        hws, ts = [], []
-        for z, a, b in zip(pts, A.tolist(), B.tolist()):
-            edges = self._panel_edges(z, a, b)
+        hws, dus = [], []
+        for xi, a, b in zip(xs.tolist(), A.tolist(), B.tolist()):
+            edges = self._panel_edges(xi, y, a, b)
             hw = 0.5 * (edges[1:] - edges[:-1])
             mids = 0.5 * (edges[:-1] + edges[1:])
             hws.append(hw.tolist())
-            ts.append((mids[:, None] + hw[:, None] * nodes).ravel())
-        xr = np.repeat(xs, [len(t) for t in ts])
-        ts = np.concatenate(ts)
-        rows = (G.eval(ts) * _psi_prime(w, xr, y, ts)).reshape(-1, len(nodes))
+            dus.append((mids[:, None] + hw[:, None] * nodes).ravel())
+        xr = np.repeat(xs, [len(du) for du in dus])
+        du = np.concatenate(dus)
+        ts = xr + du
+        rows = (G.eval(ts) * _psi_prime(w, -du, y, ts)).reshape(-1, len(nodes))
         dots = np.vecdot(rows, wts).tolist()
         out = []
         first = 0
-        for hw_i, ln, lp, pa, pb, ga in zip(hws, lim_neg.tolist(), lim_pos.tolist(),
-                                            psiA.tolist(), psiB.tolist(), GA.tolist()):
+        for hw_i, pa, pb, ga in zip(hws, psiA.tolist(), psiB.tolist(), GA.tolist()):
             quad = 0.0
             for hw, d in zip(hw_i, dots[first:first + len(hw_i)]):
                 quad += hw * d
             first += len(hw_i)
             # first-order tail corrections: G ~ G_inf right of B, G ~ G(A) left
-            quad += self.G_inf * (lp - pb)
-            quad += ga * (pa - ln)
-            out.append(self.G_inf * lp - quad)
+            quad += self.G_inf * (lim_pos - pb)
+            quad += ga * (pa - lim_neg)
+            out.append(self.G_inf * lim_pos - quad)
         return np.asarray(out)
 
-    def _panel_edges(self, z: HalfPlanePoint, TL: float, TR: float) -> np.ndarray:
+    def _panel_edges(self, x: float, y: float, TL: float, TR: float) -> np.ndarray:
+        """Panel edges on [TL, TR], as offsets from x."""
+        lo, hi = TL - x, TR - x
         # offsets y * 2^k until they pass both ends; those beyond are dropped below
-        reach = max(TR - z.x, z.x - TL)
-        n = math.frexp(reach)[1] - math.frexp(z.y)[1] + 3
-        offs = np.ldexp(z.y, np.arange(max(n, 0)))
-        pts = np.concatenate([[z.x, TL, TR], z.x + offs, z.x - offs, self._shared_edges])
-        return np.unique(pts[(pts >= TL) & (pts <= TR)])
+        n = math.frexp(max(hi, -lo))[1] - math.frexp(y)[1] + 3
+        offs = np.ldexp(y, np.arange(max(n, 0)))
+        pts = np.concatenate([[0.0, lo, hi], offs, -offs, self._shared_edges - x])
+        return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
 
 # (f, w, HalfPlaneOperator(f, w)) of the last one-shot poisson_halfplane call.

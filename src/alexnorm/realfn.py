@@ -42,6 +42,7 @@ from .errors import InvalidSpec, NonConvergentTail, ToleranceNotMet
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # a subnormal width halves to itself
 
 
 @dataclass(frozen=True)
@@ -773,7 +774,8 @@ def build_primitive_from_pointwise(
                 f"panel budget {max_panels} exhausted with error {total_err:.3e} > {tol:.3e}")
         neg_e, _, pa, pb, c, Iv = heapq.heappop(heap)
         e = -neg_e
-        if pb - pa <= 64.0 * _EPS * max(1.0, abs(pa), abs(pb)):  # cannot be halved
+        # a relative floor: panels near 0 may be as narrow as they need
+        if pb - pa <= max(64.0 * _EPS * max(abs(pa), abs(pb)), _TINY):  # cannot be halved
             done.append((pa, pb, c, Iv, e))
             continue
         total_err -= e

@@ -120,7 +120,7 @@ def _build_reciprocal_quadratic() -> Weight:
 
     # Phi_y(x-t)/w(t) -> y/pi at both infinities for this weight
     return Weight(w, derivative=dw,
-                  kernel_ratio_limit=lambda z: (z.y / math.pi, z.y / math.pi),
+                  kernel_ratio_limit=lambda y: (y / math.pi, y / math.pi),
                   label="reciprocal_quadratic")
 
 

@@ -40,7 +40,7 @@ def _zeros(y):
     return np.zeros_like(np.asarray(y, dtype=float))
 
 
-def _vanishing_kernel_ratio(z) -> tuple:
+def _vanishing_kernel_ratio(y) -> tuple:
     # Phi_z(t) -> 0 at +-inf, and a table or constant weight is bounded below
     return 0.0, 0.0
 
@@ -50,20 +50,20 @@ class Weight:
 
     Table weights are piecewise constant and normalized to right continuity on
     ingestion; their derivative is zero, the jumps being no part of it.
-    ``kernel_ratio_limit(z)``, when given, returns the limits at -inf and +inf
-    of Phi_z(t)/w(t) (the half-plane kernel over the weight) in closed form;
-    table and constant weights declare the exact zeros.
+    ``kernel_ratio_limit(y)``, when given, returns the limits at -inf and +inf
+    of Phi_y(x - t)/w(t) (the half-plane kernel over the weight) in closed form;
+    they do not depend on x.  Table and constant weights declare the exact
+    zeros, and set their jumps and their constant themselves.
     """
 
     def __init__(self, func: Evaluator, *, derivative: Optional[Evaluator] = None,
-                 table: Optional[tuple] = None, constant: Optional[float] = None,
                  kernel_ratio_limit: Optional[Callable] = None, label: str = ""):
         self._func = func
         self._derivative = derivative
-        self._table = table
-        self.constant_value = constant
         self.kernel_ratio_limit = kernel_ratio_limit
         self.label = label
+        self._breakpoints = np.empty(0)
+        self.constant_value = None
 
     # -- constructors -------------------------------------------------------
 
@@ -82,16 +82,20 @@ class Weight:
             idx = np.searchsorted(bps, np.asarray(y, dtype=float), side="right")
             return vals[idx]
 
-        return cls(step, derivative=_zeros, table=(bps, vals),
-                   kernel_ratio_limit=_vanishing_kernel_ratio, label=label)
+        w = cls(step, derivative=_zeros, kernel_ratio_limit=_vanishing_kernel_ratio,
+                label=label)
+        w._breakpoints = bps
+        return w
 
     @classmethod
     def constant(cls, c: float = 1.0, label: str = "constant") -> "Weight":
         if not 0 < c < math.inf:
             raise ValueError("a weight must be positive and finite")
-        return cls(lambda y: np.full_like(np.asarray(y, dtype=float), c),
-                   derivative=_zeros, constant=c,
-                   kernel_ratio_limit=_vanishing_kernel_ratio, label=label)
+        c = float(c)
+        w = cls(lambda y: np.full_like(np.asarray(y, dtype=float), c),
+                derivative=_zeros, kernel_ratio_limit=_vanishing_kernel_ratio, label=label)
+        w.constant_value = c
+        return w
 
     # -- evaluation ---------------------------------------------------------
 
@@ -107,7 +111,7 @@ class Weight:
 
     def breakpoints(self) -> np.ndarray:
         """Jump locations of a table weight; empty for every other weight."""
-        return np.empty(0) if self._table is None else self._table[0]
+        return self._breakpoints
 
     # -- grid estimates -----------------------------------------------------
 

@@ -582,7 +582,7 @@ def test_keyword_default_count_is_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
-    assert count == 54
+    assert count == 52
 
 
 def test_manifest_key_count_is_pinned():

@@ -156,8 +156,8 @@ def test_disc_harmonicity_spot_check(chi_half):
 def test_halfplane_panel_edges_hold_closed_form_jumps():
     # cosine's f jumps at +-pi, the ends of its declared support
     op = HalfPlaneOperator(get_function("cosine"), Weight.constant(1.0))
-    edges = op._panel_edges(HalfPlanePoint(0.3, 0.5), -50.0, 50.0)
-    assert {-math.pi, math.pi} <= set(edges.tolist())
+    edges = op._panel_edges(0.3, 0.5, -50.0, 50.0)   # offsets from x = 0.3
+    assert {-math.pi - 0.3, math.pi - 0.3} <= set(edges.tolist())
 
 
 def test_halfplane_kernel_mass():
@@ -279,6 +279,17 @@ def test_halfplane_entry_points_refuse_bad_input(rq, monkeypatch):
             op.values(np.empty(0), 0.2, tol)
 
 
+def test_halfplane_values_refuse_bad_points(rq):
+    # the batch is checked as a whole, with HalfPlanePoint's message; an
+    # empty batch has no point to check
+    op = HalfPlaneOperator(get_function("indicator_01"), rq)
+    for xs, y in (([0.5, math.nan], 0.2), ([math.inf], 0.2), ([0.5], 0.0),
+                  ([0.5], -1.0), ([0.5], math.nan), ([0.5], math.inf)):
+        with pytest.raises(ValueError, match="finite x and y > 0"):
+            op.values(np.asarray(xs), y, 1e-6)
+    assert op.values(np.empty(0), math.nan, 1e-6).shape == (0,)
+
+
 def _table(edges, values):
     F = PiecewiseLinearPrimitive(edges,
                                  np.concatenate([[0.0], np.cumsum(values * np.diff(edges))]))
@@ -345,10 +356,12 @@ def test_halfplane_harmonicity_spot_check(rq):
 
 def _value_per_panel(op, z, tol=1e-6):
     # reference: the half-plane value with one G.eval and one Psi_prime call
-    # per 16-node panel, summed left to right.  The window is clipped to the
+    # per 16-node panel, summed left to right, the nodes placed as offsets du
+    # from x and the kernel taking u = -du.  The window is clipped to the
     # panels of G on each side where G's edge value is its limit, and each
     # residual term is the change of G beyond the window's end
-    kp = kernel_pair(op.w, z)
+    lim_neg, lim_pos = kernel_pair(op.w, z.y)
+    Psi = lambda t: poisson._psi(op.w, z.x, z.y, np.asarray(t, dtype=float))
     G = op.G
     g_lo, g_hi = -math.inf, math.inf
     pieces = G.pieces(False)
@@ -362,26 +375,27 @@ def _value_per_panel(op, z, tol=1e-6):
     for _ in range(14):
         A = min(max(z.x - T, g_lo), z.x + T)
         B = max(min(z.x + T, g_hi), A)
-        psiB = float(_call_vec(kp.Psi, np.asarray([B]))[0])
-        psiA = float(_call_vec(kp.Psi, np.asarray([A]))[0])
-        dB = abs(kp.psi_lim_pos - psiB)
-        dA = abs(psiA - kp.psi_lim_neg)
+        psiB = float(_call_vec(Psi, np.asarray([B]))[0])
+        psiA = float(_call_vec(Psi, np.asarray([A]))[0])
+        dB = abs(lim_pos - psiB)
+        dA = abs(psiA - lim_neg)
         resid = 2.0 * (abs(op.G_inf - G.eval(B)) * dB + abs(G.eval(A) - G.limit_neg) * dA)
         if resid <= 0.5 * tol:
             break
         T *= 2.0
-    edges = op._panel_edges(z, A, B)
+    edges = op._panel_edges(z.x, z.y, A, B)
     nodes, wts = gauss_nodes(16)
     quad = 0.0
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
         mid = 0.5 * (a + b)
         hw = 0.5 * (b - a)
-        ts = mid + hw * nodes
-        quad += hw * float(np.dot(wts, G.eval(ts) * kp.Psi_prime(ts)))
-    quad += op.G_inf * (kp.psi_lim_pos - psiB)
-    quad += G.eval(A) * (psiA - kp.psi_lim_neg)
-    return op.G_inf * kp.psi_lim_pos - quad
+        du = mid + hw * nodes
+        ts = z.x + du
+        quad += hw * float(np.dot(wts, G.eval(ts) * poisson._psi_prime(op.w, -du, z.y, ts)))
+    quad += op.G_inf * (lim_pos - psiB)
+    quad += G.eval(A) * (psiA - lim_neg)
+    return op.G_inf * lim_pos - quad
 
 
 def _cubic():
@@ -429,7 +443,7 @@ def test_halfplane_clips_the_window_only_where_G_sits_at_its_limit(rq):
 
 
 def test_halfplane_values_share_one_quadrature_call(rq, monkeypatch):
-    # k points: k kernel pairs; each window doubling step evaluates G and
+    # k points: one kernel pair; each window doubling step evaluates G and
     # Psi_z once, at both ends of its points' windows, and one G.eval and one
     # Psi_z' call go over all the panel nodes
     op = HalfPlaneOperator(get_function("indicator_01"), rq)
@@ -454,7 +468,7 @@ def test_halfplane_values_share_one_quadrature_call(rq, monkeypatch):
         monkeypatch.setattr(poisson, name, counted(name))
     monkeypatch.setattr(op.G, "eval", G_counted)
     op.values(xs, 0.5, 1e-6)
-    assert calls["kernel_pair"] == len(xs)
+    assert calls["kernel_pair"] == 1
     assert calls["_psi_prime"] == 1
     # 130 takes two window doublings, the others none
     assert sizes[:-1] == [2 * len(xs), 2, 2] and calls["_psi"] == 3
@@ -481,7 +495,7 @@ def test_halfplane_table_values_match_the_exact_kernel_mass(rq, seed, wname):
     v = np.diff(F) / np.diff(nodes)
     op = HalfPlaneOperator(Integrand(PiecewiseLinearPrimitive(nodes, F)), w)
     lo, hi = nodes[0], nodes[-1]
-    g_max = float(np.abs(op.G.eval(nodes)).max())
+    f_max = float(np.abs(v).max())
     xs = np.asarray([0.5 * (lo + hi), nodes[2], nodes[2] + 1e-3, lo - 0.01, hi + 0.3,
                      -40.0, 75.0, 3000.0])
     for y in (1e-3, 0.01, 0.1, 1.0, 10.0):
@@ -491,10 +505,12 @@ def test_halfplane_table_values_match_the_exact_kernel_mass(rq, seed, wname):
             exact = sum(vj * halfplane_kernel_mass(y, x - b, x - a)
                         for vj, a, b in zip(v, nodes[:-1], nodes[1:]))
             # a first window that covers the table leaves rounding alone: the
-            # nodes carry eps * |t| against a kernel that varies on the scale
-            # y, times G; farther points stop once the tail bound clears 1e-6
+            # kernel takes each node's offset u exactly, so eps * |t| reaches
+            # only G's argument, times G's slope, against a kernel of height
+            # 1/(pi y) (the oracle's x - b carries the same); farther points
+            # stop once the tail bound clears 1e-6
             if x - T0 <= lo and x + T0 >= hi:
-                bound = 1e-12 + 64 * np.finfo(float).eps * g_max * (1 + abs(x)) / (math.pi * y)
+                bound = 1e-12 + 4 * np.finfo(float).eps * f_max * (1 + abs(x)) / (math.pi * y)
             else:
                 bound = 1e-6
             assert abs(u - exact) <= bound, (x, y, u - exact)
@@ -543,17 +559,16 @@ def test_majorant_skips_weighted_gap_bound(rq, monkeypatch):
 
 
 def test_kernel_pair_limits_closed_form(rq):
-    kp = kernel_pair(rq, HalfPlanePoint(0.3, 0.7))
-    assert kp.psi_lim_pos == pytest.approx(0.7 / math.pi, abs=1e-12)
-    assert kp.psi_lim_neg == pytest.approx(0.7 / math.pi, abs=1e-12)
+    lim_neg, lim_pos = kernel_pair(rq, 0.7)
+    assert lim_pos == pytest.approx(0.7 / math.pi, abs=1e-12)
+    assert lim_neg == pytest.approx(0.7 / math.pi, abs=1e-12)
 
 
 def test_kernel_pair_derivative_matches_finite_difference(rq):
-    kp = kernel_pair(rq, HalfPlanePoint(0.2, 0.5))
     ts = np.linspace(-3.0, 3.0, 11)
     h = 1e-6
-    fd = (kp.Psi(ts + h) - kp.Psi(ts - h)) / (2.0 * h)
-    assert np.allclose(kp.Psi_prime(ts), fd, atol=1e-6)
+    fd = (poisson._psi(rq, 0.2, 0.5, ts + h) - poisson._psi(rq, 0.2, 0.5, ts - h)) / (2.0 * h)
+    assert np.allclose(poisson._psi_prime(rq, 0.2 - ts, 0.5, ts), fd, atol=1e-6)
 
 
 def test_kernel_bv_audit_reciprocal_quadratic(rq):
@@ -598,7 +613,7 @@ def test_kernel_pair_without_a_limit_raises_rather_than_nan():
     # Phi/e^t has no limit at -inf: the probes overflow to inf and the
     # Richardson estimates are NaN, which is refused, not returned
     with pytest.raises(TailBoundFailure, match="no stable limit"):
-        kernel_pair(get_weight("exponential"), HalfPlanePoint(0.0, 1.0))
+        kernel_pair(get_weight("exponential"), 1.0)
     with pytest.raises(TailBoundFailure, match="no stable limit"):
         poisson_halfplane(get_function("indicator_01"), get_weight("exponential"),
                           HalfPlanePoint(0.0, 1.0))
@@ -606,10 +621,35 @@ def test_kernel_pair_without_a_limit_raises_rather_than_nan():
 
 def test_kernel_pair_limits_of_constant_and_step_weights():
     # Phi_z -> 0 and these weights are bounded below: the limits are declared
-    z = HalfPlanePoint(0.3, 0.7)
     for w in (get_weight("constant", c=2.0), get_weight("step_weight")):
-        kp = kernel_pair(w, z)
-        assert (kp.psi_lim_neg, kp.psi_lim_pos) == (0.0, 0.0)
+        assert kernel_pair(w, 0.7) == (0.0, 0.0)
+
+
+def test_kernel_pair_probes_a_weight_without_a_declared_limit(rq):
+    # reciprocal_quadratic's values and derivative, but no kernel_ratio_limit:
+    # the limits come from probes at x = 0, once per batch, so a batch and
+    # its one-point calls share their bits
+    bare = Weight(lambda y: 1.0 / (np.asarray(y, dtype=float) ** 2 + 1.0),
+                  derivative=lambda y: -2.0 * np.asarray(y, dtype=float)
+                  / (np.asarray(y, dtype=float) ** 2 + 1.0) ** 2, label="bare")
+    f = get_function("indicator_01")
+    op, ref = HalfPlaneOperator(f, bare), HalfPlaneOperator(f, rq)
+    xs = np.asarray([0.5, -1.0, 3.0, 40.0])
+    for y in (0.01, 0.5, 2.0):
+        lims = kernel_pair(bare, y)
+        assert lims == pytest.approx((y / math.pi, y / math.pi), rel=1e-14)
+        got = op.values(xs, y, 1e-6)
+        assert list(got) == [op.value(HalfPlanePoint(x, y)) for x in xs.tolist()]
+        assert got == pytest.approx(ref.values(xs, y, 1e-6), abs=1e-9)
+
+
+def test_constant_weight_takes_a_float_and_no_jumps():
+    # a manifest passes c as an int
+    w = Weight.constant(2)
+    assert type(w.constant_value) is float and w.constant_value == 2.0
+    assert w.breakpoints().size == 0
+    assert kernel_pair(w, 0.3) == (0.0, 0.0)
+    assert Weight(ONE).constant_value is None
 
 
 def test_kernel_bv_audit_needs_no_kernel_limit():

@@ -597,6 +597,18 @@ def test_build_panel_budget_exhaustion():
         build_primitive_from_pointwise(noisy, (0.0, 10.0), 1e-12, max_panels=64)
 
 
+def test_build_resolves_an_integrable_endpoint_singularity():
+    # y^(-1/2) on (0, 1): the panels next to 0 must shrink far below 1e-14,
+    # so the halving floor is relative to |pa|, |pb| (an absolute floor of
+    # 64 eps ran out of its 20000 panels at an error of 2.5e-8)
+    f = lambda y: 1.0 / np.sqrt(np.asarray(y, dtype=float))
+    ts = np.linspace(0.0, 1.0, 1001)
+    for tol in (1e-10, 1e-12):
+        F = build_primitive_from_pointwise(f, (0.0, 1.0), tol)
+        assert len(F.edges) < 200 and F.edges[1] < 1e-14
+        assert np.abs(F.eval(ts) - 2.0 * np.sqrt(ts)).max() <= tol
+
+
 def test_build_nan_data_raises():
     # a NaN error estimate must not pass for a met tolerance
     with pytest.raises(ToleranceNotMet):
