@@ -31,7 +31,7 @@ from .errors import InvalidSpec, KernelSingularity, TailBoundFailure, ToleranceN
 from .norms import GapReport
 from .realfn import (Integrand, Interval, _as_interval, _call_vec,
                      build_primitive_from_pointwise, gauss_nodes, variation)
-from .weights import (Weight, _refinement_stable, _resolve_pointwise,
+from .weights import (Weight, _refinement_stable, _resolve_pointwise, _shift_gap,
                       _weighted_gap_single, product_integrand)
 
 TWO_PI = 2.0 * math.pi
@@ -348,23 +348,25 @@ def poisson_halfplane(f, w: Weight, z: HalfPlanePoint) -> float:
 def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
                                    tol: float = 1e-6) -> List[GapReport]:
     """||(u_y - f) w|| on I along a boundary ladder, with the kernel-averaged
-    majorant integral of Phi_y(s) ||(tau_s f - f) w|| attached to each row.
+    majorant 2 * integral over s > 0 of Phi_y(s) gamma(s), gamma(s) =
+    ||(tau_s f - f) w||, attached to each row.
 
-    Primitives are built to 1e-7, each u_y(t) is evaluated to 1e-6, and the
-    majorant integral takes 64 Gauss-Legendre nodes in s."""
+    Primitives are built to 1e-7 and each u_y(t) is evaluated to 1e-6.  The
+    majorant's panels, shared by the whole ladder, have the edges 0, every
+    row's S = max(200 y, 2), the powers of 2 from below min(y) / 2 up to the
+    largest S, and up to 32 pairwise differences of f's and w's breakpoints,
+    where gamma can kink; each takes 8 Gauss-Legendre nodes, and gamma is
+    evaluated once per node.  A row sums its own panels on [0, S], left to
+    right, and adds the tail 2 * (1 - mass(-S, S)) * max gamma over its nodes."""
     build_tol = 1e-7
     I = _as_interval(I)
     op = HalfPlaneOperator(f, w)
     fp = _resolve_pointwise(f)
     hints = tuple(f.primitive.breakpoints()) if isinstance(f, Integrand) else ()
 
-    def gamma(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        return _weighted_gap_single(f, fp, w, op.G, s, build_tol)[0]
-
-    reports = []
-    for y in sorted(ys, key=lambda t: -abs(t)):
+    ys = sorted(ys, key=lambda t: -abs(t))
+    gaps = []
+    for y in ys:  # a y outside (0, inf) raises values' ValueError here
         def err(t, y=y):
             t = np.asarray(t, dtype=float)
             u = op.values(np.ravel(t), y, 1e-6)
@@ -372,19 +374,49 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
 
         P = build_primitive_from_pointwise(err, I, build_tol, breakpoints=hints)
         lo, hi = P.extrema()
-        gap = hi - lo
+        gaps.append(hi - lo)
+    if not ys:
+        return []
 
-        S = max(200.0 * y, 2.0)
-        nodes, wts = gauss_nodes(64)
-        ss = 0.5 * S * (nodes + 1.0)  # positive half; gamma is even in s
-        gs = np.asarray([gamma(float(s)) for s in ss])
-        phis = halfplane_kernel(y, ss)
-        majorant = float(2.0 * 0.5 * S * np.dot(wts, gs * phis))
-        tail_fraction = 1.0 - halfplane_kernel_mass(y, -S, S)
-        majorant += 2.0 * tail_fraction * float(gs.max(initial=0.0))
+    Ss = [max(200.0 * y, 2.0) for y in ys]
+    S_max = max(Ss)
+    # 2^k for floor(log2(min(y) / 2)) <= k <= floor(log2(S_max)), exactly
+    k0, k1 = math.frexp(min(ys))[1] - 2, math.frexp(S_max)[1] - 1
+    dyadic = np.ldexp(1.0, np.arange(k0, k1 + 1))
+    edges = np.unique(np.r_[0.0, Ss, dyadic, _kinks(f, w, S_max)])
+    nodes, wts = gauss_nodes(8)
+    hws = 0.5 * np.diff(edges)
+    ss = 0.5 * (edges[1:] + edges[:-1])[:, None] + hws[:, None] * nodes
+    if w.constant_value is not None:  # C_s = 0
+        gamma = lambda s: _weighted_gap_single(f, fp, w, op.G, s, build_tol)[0]
+    else:
+        gamma = lambda s: _shift_gap(f, fp, w, s, build_tol)
+    gs = np.asarray([gamma(s) for s in ss.ravel().tolist()]).reshape(ss.shape)
+
+    reports = []
+    for y, S, gap in zip(ys, Ss, gaps):
+        n = int(np.searchsorted(edges, S))  # the panels on [0, S]
+        dots = np.vecdot(gs[:n] * halfplane_kernel(y, ss[:n]), wts).tolist()
+        majorant = 0.0
+        for hw, d in zip(hws[:n].tolist(), dots):
+            majorant += hw * d
+        majorant *= 2.0
+        majorant += 2.0 * (1.0 - halfplane_kernel_mass(y, -S, S)) * float(gs[:n].max())
         reports.append(GapReport(x=y, gap=gap, bound_upper=majorant,
                                  passed=gap <= majorant + tol))
     return reports
+
+
+def _kinks(f, w: Weight, S_max: float) -> np.ndarray:
+    """The 32 smallest distinct pairwise differences in (0, S_max) of f's and
+    w's breakpoints, where gamma(s) can kink.  A difference of points i and
+    j is larger than the j - i - 1 distinct ones in between, so pairs more
+    than 32 apart in sorted order hold none of them."""
+    fb = f.primitive.breakpoints() if isinstance(f, Integrand) else np.empty(0)
+    b = np.unique(np.r_[fb, w.breakpoints()])
+    d = np.unique(np.concatenate([np.empty(0)] + [b[j:] - b[:-j]
+                                                  for j in range(1, min(len(b), 33))]))
+    return d[d < S_max][:32]
 
 
 @dataclass(frozen=True)

@@ -689,6 +689,10 @@ def _fit_panel(f_eval, a: float, b: float):
     hw = 0.5 * (b - a)
     xs = 0.5 * (a + b) + hw * nodes
     vals = _call_vec(f_eval, xs)
+    # before the matmul, which warns on infinite data; a Python sum warns on
+    # nothing and is finite exactly when the data are (short of overflow)
+    if not math.isfinite(sum(vals.tolist())):
+        raise ToleranceNotMet("pointwise data is not finite")
     coefs = M @ vals
     I_full = hw * _cheb_integral(coefs)
     I_half = hw * _cheb_integral(coefs[: max(2, npts // 2)])
@@ -715,8 +719,8 @@ def build_primitive_from_pointwise(
     last is below max(tol, 1e-13); only the geometric remainder beyond the
     last window goes into the declared limit.  Raises NonConvergentTail when
     the tail windows do not settle, and ToleranceNotMet when the panel
-    budget is exhausted or the error estimate is not finite (NaN or infinite
-    data).  A half-line beyond the core window is built on the 2 *
+    budget is exhausted or the pointwise data or the error estimate is not
+    finite.  A half-line beyond the core window is built on the 2 *
     core_halfwidth next to its finite end; an empty finite support raises
     InvalidSpec, and a tol outside (0, inf) raises ValueError.
     """
@@ -740,6 +744,8 @@ def build_primitive_from_pointwise(
     def push(pa: float, pb: float) -> float:
         nonlocal total_err
         c, Iv, e = _fit_panel(f_eval, pa, pb)
+        if not math.isfinite(e):  # NaN passes every comparison against tol
+            raise ToleranceNotMet(f"error estimate is not finite ({e})")
         heapq.heappush(heap, (-e, next(seq), pa, pb, c, Iv))
         total_err += e
         return Iv
@@ -762,8 +768,6 @@ def build_primitive_from_pointwise(
     edges0 = [a] + sorted({float(t) for t in breakpoints if a < t < b}) + [b]
     for pa, pb in zip(edges0[:-1], edges0[1:]):
         push(pa, pb)
-    if math.isnan(total_err):  # NaN data, which no tail window settles either
-        raise ToleranceNotMet("error estimate is not finite (nan)")
     # convention: F(-inf) = 0, so the panels start at the remainder left of them
     left_rem = tail(a, -1) if left_inf else 0.0
     right_rem = tail(b, +1) if right_inf else 0.0
@@ -782,9 +786,6 @@ def build_primitive_from_pointwise(
         mid = 0.5 * (pa + pb)
         push(pa, mid)
         push(mid, pb)
-    if not math.isfinite(total_err):
-        # a NaN estimate compares False against tol and would end the loop
-        raise ToleranceNotMet(f"error estimate is not finite ({total_err})")
     if total_err > tol:
         frozen = sum(e for *_, e in done)
         if frozen < total_err - tol:

@@ -346,32 +346,37 @@ def product_integrand(f, w: Weight, *, core_halfwidth: float = 64.0) -> Integran
     if fp is None:
         raise NonIntegrableProduct("no pointwise data for the product")
     prod = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * w(y)
-    P = _weighted_primitive(prod, w, f, w, 1e-10, core_halfwidth, label="product")
+    P = _weighted_primitive(prod, w, f, w, 1e-10, core_halfwidth, 0.0, label="product")
     return Integrand(P, prod, "product")
 
 
 def _weighted_primitive(h: Evaluator, g: Evaluator, f, w: Weight, tol: float,
-                        core_halfwidth: float, *, x: float = 0.0, label: str = ""):
-    """Primitive of h = f g, where g is w or w(. + x) - w.  The jumps of w,
-    of w(. + x) and of f are panel hints.  An f made of panels confines the
-    support to them, and the remainder its limits carry beyond them (a
-    tail-built f) is carried over times g at the panel ends; any other f
-    widens the core window to its own."""
+                        core_halfwidth: float, x: float, *, s: float = 0.0,
+                        label: str = ""):
+    """Primitive of h = f g, where g is w or w(. + x) - w, or of
+    h = (f(. - s) - f) w, where g is w(. + s) - w.  The jumps of w, of
+    w(. + x), of f and of f(. - s), and f's window ends, are panel hints.  An
+    f made of panels confines the support to its window and that window
+    moved by s, and the remainder its limits carry beyond them (a tail-built
+    f) is carried over times g at the window ends; any other f widens the
+    core window to its own, plus |s|."""
     wb = w.breakpoints()
     hints = list(wb) + list(wb - x)
     support = Interval(-math.inf, math.inf)
-    core = core_halfwidth
+    core = core_halfwidth + abs(s)
     rem = (0.0, 0.0)
     if isinstance(f, Integrand):
         F = f.primitive
         lo, hi = F.support_window()
-        hints.extend(F.breakpoints())
+        fb = np.r_[F.breakpoints(), lo, hi]
+        hints.extend(fb)
+        hints.extend(fb + s)
         if F.pieces(True) is not None:
-            support = Interval(lo, hi)
+            support = Interval(min(lo, lo + s), max(hi, hi + s))
             _, _, F_lo, F_hi = F.pieces(False)
             rem = (F_lo - F.limit_neg, F.limit_pos - F_hi)
         else:
-            core = max(core_halfwidth, abs(lo), abs(hi))
+            core = max(core_halfwidth, abs(lo), abs(hi)) + abs(s)
     try:
         P = build_primitive_from_pointwise(h, support, tol, breakpoints=hints,
                                            core_halfwidth=core, label=label)
@@ -426,12 +431,21 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
     return reports
 
 
+def _shift_gap(f, fp, w: Weight, s: float, build_tol: float) -> float:
+    """||(tau_s f - f) w|| for a shift s != 0: the oscillation of one
+    primitive of h_s = (f(. - s) - f) w, built to build_tol."""
+    h = lambda y: (_call_vec(fp, y - s) - _call_vec(fp, y)) * w(y)
+    dw = lambda y: w(y + s) - w(y)
+    lo, hi = _weighted_primitive(h, dw, f, w, build_tol, 64.0, 0.0, s=s).extrema()
+    return hi - lo
+
+
 def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tuple:
     """(gap, C_x) for a shift x != 0: the oscillation of D and the ratio
     correction primitive it was built from."""
     dw = lambda y: w(np.asarray(y, dtype=float) + x) - w(np.asarray(y, dtype=float))
     corr = lambda y: _call_vec(fp, np.asarray(y, dtype=float)) * dw(y)
-    C = _weighted_primitive(corr, dw, f, w, build_tol, 64.0, x=x)
+    C = _weighted_primitive(corr, dw, f, w, build_tol, 64.0, x)
 
     g = G.pieces(True)
     if g is None:  # a constant weight times a closed-form f, so C = 0

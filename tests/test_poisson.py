@@ -340,6 +340,98 @@ def test_halfplane_weighted_convergence_constant(rq):
     assert all(r.passed for r in reports)
 
 
+def _majorant_oracle(y: float) -> float:
+    # c10's gamma(s) = ||(tau_s f - f) w|| for f = chi_[0, 1], w = 1/(1 + t^2)
+    # is atan(min(s, 1)); the majorant is 2 * integral_0^S Phi_y gamma plus the
+    # tail term 2 * (1 - mass(-S, S)) * pi/4, S = max(200 y, 2)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        S = max(200 * y, 2)
+        phi = lambda s: y / (mpmath.pi * (s * s + y * y))
+        body = (mpmath.quad(lambda s: phi(s) * mpmath.atan(s), [0, y / 4, y, 4 * y, 1])
+                + mpmath.quad(lambda s: phi(s) * mpmath.pi / 4, [1, S]))
+        tail = 1 - (mpmath.atan2(S, y) - mpmath.atan2(-S, y)) / mpmath.pi
+        return float(2 * body + 2 * tail * mpmath.pi / 4)
+
+
+@pytest.fixture(scope="module")
+def c10_ladder(rq):
+    # canonical's c10 ladder, with the shifts gamma is computed at
+    seen = []
+    shift_gap = poisson._shift_gap
+
+    def counted(f, fp, w, s, build_tol):
+        seen.append(s)
+        return shift_gap(f, fp, w, s, build_tol)
+
+    poisson._shift_gap = counted
+    try:
+        reports = halfplane_weighted_convergence(get_function("indicator_01"), rq,
+                                                 [1.0, 0.1, 0.01], (-8.0, 8.0))
+    finally:
+        poisson._shift_gap = shift_gap
+    return reports, seen
+
+
+def test_halfplane_majorant_matches_the_mpmath_oracle(c10_ladder):
+    reports, _ = c10_ladder
+    for r in reports:
+        assert r.bound_upper == pytest.approx(_majorant_oracle(r.x), abs=1e-10), r.x
+        assert r.gap <= r.bound_upper
+
+
+def test_halfplane_majorant_shares_gamma_across_the_ladder(c10_ladder):
+    # 18 panels of 8 nodes (edges 0, 2^-8 ... 2^7, 20 and 200), gamma once per node
+    _, seen = c10_ladder
+    assert len(seen) == len(set(seen)) <= 144
+    assert min(seen) > 0.0 and max(seen) < 200.0
+
+
+def test_halfplane_majorant_adds_the_kinks_of_gamma(rq):
+    # gamma kinks where a jump of f(. - s) meets one of f or w: at the pairwise
+    # differences of their breakpoints, at most 32 of them
+    f = indicator(0.0, 3.0)
+    assert poisson._kinks(f, rq, 200.0).tolist() == [3.0]
+    assert poisson._kinks(f, Weight.piecewise_constant([0.5], [1.0, 2.0]),
+                          200.0).tolist() == [0.5, 2.5, 3.0]
+    many = _table(np.arange(40.0) ** 1.5, np.ones(39))
+    kinks = poisson._kinks(many, rq, 200.0)
+    b = many.primitive.breakpoints()
+    d = np.unique(np.subtract.outer(b, b))
+    assert kinks.tolist() == d[(d > 0) & (d < 200.0)][:32].tolist()
+    assert len(poisson._kinks(ONE, rq, 200.0)) == 0
+
+
+def test_halfplane_weighted_convergence_checks_its_ladder(rq):
+    f = get_function("indicator_01")
+    assert halfplane_weighted_convergence(f, rq, [], (-8.0, 8.0)) == []
+    for ys in ([0.0], [-1.0], [math.nan], [math.inf], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite x and y > 0"):
+            halfplane_weighted_convergence(f, rq, ys, (-8.0, 8.0))
+
+
+def test_gaussian_product_finds_its_bump(rq):
+    # a closed form without a declared support: its scan window's ends are
+    # panel hints, so the first fits on the 4096 core see the bump
+    from scipy.special import erfc
+    G = HalfPlaneOperator(get_function("gaussian"), rq).G
+    assert G.limit_pos == pytest.approx(math.pi * math.e * erfc(1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cosine", "sinc_primitive"])
+def test_poisson_halfplane_of_closed_forms_matches_quad(rq, name):
+    from scipy.integrate import quad
+    f = get_function(name)
+    fp = f.pointwise_or_derived()
+    for x, y in ((0.3, 0.2), (-1.5, 1.0), (2.0, 0.05)):
+        kern = lambda t: float(fp(np.asarray(t))) * y / (math.pi * ((x - t) ** 2 + y * y))
+        pts = sorted({x - 10.0 * y, x, x + 10.0 * y, -math.pi, math.pi})
+        want = quad(kern, -2000.0, 2000.0, points=pts, limit=2000,
+                    epsabs=1e-12, epsrel=1e-12)[0]
+        assert poisson_halfplane(f, rq, HalfPlanePoint(x, y)) == pytest.approx(want, abs=1e-6)
+
+
 def test_halfplane_harmonicity_spot_check(rq):
     op = HalfPlaneOperator(get_function("indicator_01"), rq)
 

@@ -616,6 +616,11 @@ def test_build_nan_data_raises():
     # on an infinite support too, before any tail window is fitted
     with pytest.raises(ToleranceNotMet):
         build_primitive_from_pointwise(lambda y: np.full_like(y, np.nan), (-INF, INF), 1e-10)
+    # infinite data too, with no RuntimeWarning on the way (Tier-1 makes it an error)
+    for v in (INF, -INF):
+        for support in ((0.0, 1.0), (-INF, INF)):
+            with pytest.raises(ToleranceNotMet):
+                build_primitive_from_pointwise(lambda y: np.full_like(y, v), support, 1e-8)
 
 
 def test_builder_reproduces_subinterval_quadrature():

@@ -9,9 +9,10 @@ from alexnorm.errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                              NonIntegrableProduct)
 from alexnorm.norms import gap_sweep
 from alexnorm.realfn import (Integrand, PiecewiseChebyshevPrimitive,
-                            build_primitive_from_pointwise)
+                            PiecewiseLinearPrimitive, build_primitive_from_pointwise)
 from alexnorm.registry import get_function, get_weight
-from alexnorm.weights import (Weight, convergence_in_measure, product_integrand,
+from alexnorm.weights import (Weight, _shift_gap, _weighted_gap_single,
+                              convergence_in_measure, product_integrand,
                               ratio_conditions_check, sufficient_conditions_check,
                               uniform_bound_lemma_check, variation_bound_check,
                               weight_ratio, weighted_gap_sweep, weighted_norm)
@@ -473,3 +474,51 @@ def test_breakpoints_empty_without_nodes(rq):
         bp = owner.breakpoints()
         assert isinstance(bp, np.ndarray)
         assert bp.dtype == float and bp.shape == (0,)
+
+
+# -- the shift gap gamma(s) = ||(tau_s f - f) w|| ------------------------------------
+
+
+def _both_gaps(f, w, s):
+    # the direct primitive of (f(. - s) - f) w against the decomposition through
+    # G and C_s; each is built to 1e-7, so they may differ by twice that per side
+    fp = f.pointwise_or_derived()
+    G = product_integrand(f, w).primitive
+    return _shift_gap(f, fp, w, s, 1e-7), _weighted_gap_single(f, fp, w, G, s, 1e-7)[0]
+
+
+_TABLE_WEIGHT = Weight.piecewise_constant([-0.7, 0.4, 1.9], [1.5, 0.6, 2.2, 1.1])
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_shift_gap_matches_the_decomposition_on_tables(data):
+    widths = data.draw(st.lists(st.floats(1e-2, 2.0), min_size=1, max_size=6))
+    edges = data.draw(st.floats(-3.0, 1.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    values = np.asarray(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(widths),
+                                           max_size=len(widths))))
+    F = PiecewiseLinearPrimitive(edges,
+                                 np.concatenate([[0.0], np.cumsum(values * np.diff(edges))]))
+    w = data.draw(st.sampled_from([get_weight("reciprocal_quadratic"), _TABLE_WEIGHT]))
+    s = data.draw(st.floats(1e-3, 90.0))
+    direct, decomposed = _both_gaps(Integrand(F, F.pointwise_derived()), w, s)
+    assert direct == pytest.approx(decomposed, abs=4e-7)
+
+
+def test_shift_gap_matches_the_decomposition_on_fixed_data(rq):
+    cheb = build_primitive_from_pointwise(lambda y: np.cos(3.0 * y) * (2.0 - y), (-1.0, 2.0),
+                                          1e-12)
+    tail = build_primitive_from_pointwise(rq, (-math.inf, math.inf), 1e-12)
+    cases = [Integrand(cheb), Integrand(tail, rq), get_function("gaussian")]
+    for f in cases:
+        for w in (rq, _TABLE_WEIGHT):
+            for s in (1e-3, 0.37, 5.0, 90.0):
+                direct, decomposed = _both_gaps(f, w, s)
+                assert direct == pytest.approx(decomposed, abs=4e-7), (f, w.label, s)
+    # ||(tau_2 f - f) w|| = (1 + pi)/4 for f = w = 1/(1 + y^2), tail remainders included
+    assert _shift_gap(cases[1], rq, rq, 2.0, 1e-7) == pytest.approx(0.25 * (1.0 + math.pi),
+                                                                     abs=2e-7)
+
+
+def test_shift_gap_of_a_constant_is_exactly_zero(rq):
+    assert _shift_gap(ONE, ONE, rq, 0.5, 1e-7) == 0.0
