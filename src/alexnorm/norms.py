@@ -7,8 +7,8 @@ The norm of an integrable object f with primitive F is
 
 so every norm here is an oscillation computation on a primitive.  Translation
 gaps ||tau_x f - f|| reduce to the oscillation of y -> F(y-x) - F(y), which is
-taken at the merged breakpoints and the real derivative roots for tables and
-Chebyshev panels, and by dense grids plus local refinement for closed forms.
+taken at the merged breakpoints and the real derivative roots of each
+primitive's ``search_pieces``, a closed form's Chebyshev proxy included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (InvalidSpec, NonConvergentTail, NotAbsolutelyIntegrable)
 from .realfn import (ClosedFormPrimitive, Integrand, Interval,
                      PiecewiseLinearPrimitive, Primitive, _EPS, _call_vec,
                      _critical_points, build_primitive_from_pointwise,
-                     gauss_nodes, grid_extrema)
+                     gauss_nodes)
 
 @dataclass(frozen=True)
 class GapReport:
@@ -85,25 +85,17 @@ def translate(f: Integrand, x: float) -> Integrand:
 def _difference_extrema(F: Primitive, x: float):
     """(min, max) over the extended line of H(y) = F(y-x) - F(y).
 
-    Both limits of H vanish, so 0 always joins the candidate set.  Tables and
-    Chebyshev panels take H at the merged edges and the real roots of
-    H' = f(.-x) - f (machine-exact); closed forms are grid estimates.
+    Both limits of H vanish, so 0 always joins the candidate set.  H is
+    taken at the merged edges and the real roots of H' = f(.-x) - f on F's
+    search pieces (machine-exact for tables and Chebyshev panels).
     """
     _check_shift(x)
     if x == 0.0:
         return 0.0, 0.0
-    f = F.pieces(True)
-    if f is not None:
-        nodes = _critical_points([(1.0, x, f), (-1.0, 0.0, f)])
-        H = F.eval(nodes - x) - F.eval(nodes)
-        return min(float(H.min()), 0.0), max(float(H.max()), 0.0)
-    lo, hi = F.support_window()
-    window = (min(lo, lo + x) - abs(x), max(hi, hi + x) + abs(x))
-    ev = lambda y: F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float))
-    # F has kinks where a declared support ends; H often peaks there
-    bp = F.breakpoints()
-    return grid_extrema(ev, window, levels=14 if len(bp) else 17,
-                        seeds=tuple(np.union1d(bp, bp + x)), include=(0.0,))
+    f = F.search_pieces(True)
+    nodes = _critical_points([(1.0, x, f), (-1.0, 0.0, f)])
+    H = F.eval(nodes - x) - F.eval(nodes)
+    return min(float(H.min()), 0.0), max(float(H.max()), 0.0)
 
 
 def translation_gap(f: Integrand, x: float) -> float:
@@ -314,37 +306,11 @@ def osc_lower_bound_check(f: SmoothBump, xs: Sequence[float],
 # Shifted-primitive estimates
 # ---------------------------------------------------------------------------
 
-# grid points per block of closed-form window values: 48 nodes each, so about
-# 384 KiB per temporary
-_WINDOW_BLOCK = 1024
-
-
-def _window_values_closed(F: Primitive, a_pts: np.ndarray, x: float) -> np.ndarray:
-    """Moving-window integrals W(a) = integral of F over [a-x, a], vectorized
-    Gauss-Legendre for closed-form primitives.
-
-    Runs in blocks of _WINDOW_BLOCK points, which bounds the temporaries; each
-    row is contracted by np.vecdot, which gives it the bits of np.dot whatever
-    the block and the BLAS thread count."""
-    nodes, wts = gauss_nodes(48)
-    hw = 0.5 * x
-    centers = np.asarray(a_pts, dtype=float) - hw
-    offsets = hw * nodes
-    out = np.empty(len(centers))
-    for i in range(0, len(centers), _WINDOW_BLOCK):
-        pts = centers[i:i + _WINDOW_BLOCK, None] + offsets
-        vals = F.eval(pts.ravel()).reshape(pts.shape)
-        out[i:i + _WINDOW_BLOCK] = np.vecdot(hw * vals, wts)
-    return out
-
-
-def _window_critical(F: Primitive, x: float) -> Optional[np.ndarray]:
+def _window_critical(F: Primitive, x: float) -> np.ndarray:
     """W(a) = integral of F over [a-x, a] at the merged edges and the real
-    roots of W' = F - F(.-x), in increasing a: W is monotone in between.
-    None for a closed form."""
-    Fp = F.pieces(False)
-    if Fp is None:
-        return None
+    roots of W' = F - F(.-x) on F's search pieces, in increasing a: W is
+    monotone in between (for a closed form, to the proxy's accuracy)."""
+    Fp = F.search_pieces(False)
     a = _critical_points([(1.0, 0.0, Fp), (-1.0, x, Fp)])
     return F.window_integral(a - x, a)
 
@@ -355,7 +321,8 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     Realized through the moving-window integral W(a) = integral of F over
     [a-x, a], whose limits are x * F(-inf) and x * F(+inf); the norm is the
     oscillation of W over the extended line.  Machine-exact for tables and
-    Chebyshev panels, a grid estimate for closed forms.
+    Chebyshev panels; for closed forms the proxy places the windows and
+    Gauss-Legendre on the closed form values them.
     """
     _check_shift(x)
     F = f.primitive
@@ -366,18 +333,7 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     if x < 0:
         # W for a negative window orientation differs by sign only
         return primitive_gap_norm(f, -x)
-    W = _window_critical(F, x)
-    if W is None:
-        # cached with F's extrema; the shift is part of the key because the
-        # grid moves with it, so each shift keeps its own rounding
-        key = ("pgn", F.shift, x)
-        if key not in F._extrema_cache:
-            lo, hi = F.support_window()
-            window = (lo - 2.0 * abs(x) - 1.0, hi + 2.0 * abs(x) + 1.0)
-            ev = lambda a: _window_values_closed(F, np.asarray(a, dtype=float), x)
-            F._extrema_cache[key] = grid_extrema(ev, window, levels=14)
-        W = np.asarray(F._extrema_cache[key])
-    W = np.r_[W, x * F.limit_neg, x * F.limit_pos]
+    W = np.r_[_window_critical(F, x), x * F.limit_neg, x * F.limit_pos]
     return float(W.max() - W.min())
 
 
@@ -407,9 +363,8 @@ def primitive_gap_l1(f: Integrand, x: float) -> float:
     F = f.primitive
     if x == 0.0:
         return 0.0
-    W = _window_critical(F, x)
-    if W is not None:
-        return float(np.abs(np.diff(W)).sum())
+    if F.pieces(True) is not None:
+        return float(np.abs(np.diff(_window_critical(F, x))).sum())
     ev = lambda y: np.abs(F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float)))
     lo, hi = F.support_window()
     core = max(abs(lo), abs(hi), 8.0) + abs(x)

@@ -28,11 +28,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, KernelSingularity, TailBoundFailure, ToleranceNotMet
-from .norms import GapReport
+from .norms import GapReport, translation_gap
 from .realfn import (Integrand, Interval, _as_interval, _call_vec,
                      build_primitive_from_pointwise, gauss_nodes, variation)
 from .weights import (Weight, _refinement_stable, _resolve_pointwise, _shift_gap,
-                      _weighted_gap_single, product_integrand)
+                      product_integrand)
 
 TWO_PI = 2.0 * math.pi
 
@@ -387,8 +387,8 @@ def halfplane_weighted_convergence(f, w: Weight, ys: Sequence[float], I,
     nodes, wts = gauss_nodes(8)
     hws = 0.5 * np.diff(edges)
     ss = 0.5 * (edges[1:] + edges[:-1])[:, None] + hws[:, None] * nodes
-    if w.constant_value is not None:  # C_s = 0
-        gamma = lambda s: _weighted_gap_single(f, fp, w, op.G, s, build_tol)[0]
+    if w.constant_value is not None:  # gamma(s) is the gap of fw itself
+        gamma = lambda s: translation_gap(op.fw, s)
     else:
         gamma = lambda s: _shift_gap(f, fp, w, s, build_tol)
     gs = np.asarray([gamma(s) for s in ss.ravel().tolist()]).reshape(ss.shape)

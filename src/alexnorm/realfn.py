@@ -13,11 +13,12 @@ the concrete representations and the low-level engines:
   they are exact to machine precision.
 * ``PiecewiseLinearPrimitive`` -- exact node tables: panel primitives whose f
   is constant on each panel; only their interpolating evaluator is their own.
-* ``ClosedFormPrimitive`` -- user- or registry-supplied closed forms; extrema
-  are grid estimates refined by bounded scalar minimization.
+* ``ClosedFormPrimitive`` -- user- or registry-supplied closed forms; a cached
+  Chebyshev proxy of F places the extrema, the closed form values them.
 
 Other modules read a representation only through ``Primitive``: ``pieces``
-gives panel rows, ``breakpoints`` the points where f may jump.
+gives panel rows (``search_pieces`` a closed form's proxy rows too),
+``breakpoints`` the points where f may jump.
 
 The extended real line is modelled by ordinary floats together with
 ``float('inf')`` / ``float('-inf')``, which already carry the required total
@@ -43,6 +44,7 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # a subnormal width halves to itself
+PROXY_TOL = 1e-6  # per unit spread of F: a closed form's proxy only places candidates
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,19 @@ def _call_vec(func: Evaluator, xs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=1)
+def _window_rule():
+    # numpy's 48 nodes; its weights are off by up to 4e-15, and
+    # w = 2 / ((1 - x^2) P_48'(x)^2) by the recurrence is off by 1.3e-16
+    x, _ = gauss_nodes(48)
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, 49):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    dp = 48 * (x * p1 - p0) / (x * x - 1.0)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +175,7 @@ class Primitive:
     def window_integral(self, u, v):
         """Integral of F itself over the finite windows [u, v], elementwise
         for arrays u and v of one shape; a scalar pair gives a float.  Beyond
-        the nodes F is taken at its declared limits.  Tables and Chebyshev
-        panels only: a closed form raises NotImplementedError."""
+        the nodes of a table or panels F is taken at its declared limits."""
         raise NotImplementedError
 
     def pointwise_derived(self) -> Optional[Evaluator]:
@@ -175,6 +187,10 @@ class Primitive:
         rows (local coordinates) of f = F' when derivative is true, else of F,
         and the values left and right of the panels.  None for a closed form."""
         return None
+
+    def search_pieces(self, derivative: bool) -> tuple:
+        """The ``pieces`` rows that place critical points (a closed form's proxy)."""
+        return self.pieces(derivative)
 
     def total_variation(self) -> Optional[float]:
         """Exact total variation of F when the representation allows it."""
@@ -375,9 +391,10 @@ class PiecewiseLinearPrimitive(PiecewiseChebyshevPrimitive):
 class ClosedFormPrimitive(Primitive):
     """F given by a vectorized closed-form evaluator plus declared limits.
 
-    ``scan`` is the window where F is allowed to vary appreciably; extrema and
-    norms are grid estimates on that window (refined by bounded minimization),
-    so closed-form oscillations are estimates, never upper bounds.
+    ``scan`` is the window where F is allowed to vary appreciably, or
+    ``support`` when one is declared.  A Chebyshev proxy of F on that window,
+    built on first use to PROXY_TOL per unit spread of F, places the candidate
+    extrema at its edges and its derivative's real roots; F gives the values.
     """
 
     def __init__(self, func: Evaluator, limit_neg: float, limit_pos: float,
@@ -436,13 +453,42 @@ class ClosedFormPrimitive(Primitive):
                                    (self.support[0] + sh, self.support[1] + sh),
                                    self.label)
 
+    def _proxy(self) -> tuple:
+        # (edges, F rows, f rows) of the unshifted proxy, shared by shifted copies
+        # (the builder's fc are F's rows); tol is PROXY_TOL times F's spread on 1025
+        # points and the limits, in powers of two, so c = 2^j scales the proxy by c
+        if "proxy" not in self._extrema_cache:
+            w = self.support or self.scan
+            F = np.r_[self.limit_neg, self.limit_pos, _call_vec(self.func, np.linspace(*w, 1025))]
+            spread = float(F.max()) - float(F.min())  # inf - inf: NaN, no warning
+            exp = math.frexp(spread)[1] - 1 if 0.0 < spread < math.inf else 0
+            P = build_primitive_from_pointwise(self.func, w, math.ldexp(PROXY_TOL, exp))
+            df = _cheb.chebder(P.fc, axis=1) * (2.0 / np.diff(P.edges))[:, None]
+            self._extrema_cache["proxy"] = (P.edges, P.fc, df)
+        return self._extrema_cache["proxy"]
+
+    def search_pieces(self, derivative):
+        edges, Fc, fc = self._proxy()
+        if derivative:
+            return edges + self.shift, fc, 0.0, 0.0
+        return edges + self.shift, Fc, self.limit_neg, self.limit_pos
+
     def extrema(self):
-        key = "ext"
-        if key not in self._extrema_cache:
-            self._extrema_cache[key] = grid_extrema(
-                lambda y: _call_vec(self.func, y), self.scan, levels=17,
-                include=(self.limit_neg, self.limit_pos))
-        return self._extrema_cache[key]
+        if "ext" not in self._extrema_cache:
+            edges, _, fc = self._proxy()
+            t = _critical_points([(1.0, 0.0, (edges, fc, 0.0, 0.0))])
+            vals = np.r_[_call_vec(self.func, t), self.limit_neg, self.limit_pos]
+            self._extrema_cache["ext"] = (float(vals.min()), float(vals.max()))
+        return self._extrema_cache["ext"]
+
+    def window_integral(self, u, v):
+        # 48 Gauss-Legendre nodes per window; np.vecdot gives each window the
+        # bits of np.dot, whatever the batch and the BLAS thread count
+        nodes, wts = _window_rule()
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        hw = 0.5 * (v - u)[..., None]
+        out = np.vecdot(hw * self.eval(0.5 * (u + v)[..., None] + hw * nodes), wts)
+        return float(out) if np.ndim(out) == 0 else out
 
     def equals(self, other):
         return (
@@ -563,9 +609,9 @@ def oscillation(h, I, levels: int = 12, extra_points: Sequence[float] = ()) -> f
     return hi - lo
 
 
+# Unused by the library; kept because bench/tracer.py patches both by name.
 def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on the first call so that
-    importing the package loads numpy only."""
+    """scipy's minimize_scalar, imported on the first call: importing loads numpy only."""
     from scipy.optimize import minimize_scalar as scipy_minimize_scalar
     return scipy_minimize_scalar(*args, **kwargs)
 
@@ -719,7 +765,8 @@ def build_primitive_from_pointwise(
     last is below max(tol, 1e-13); only the geometric remainder beyond the
     last window goes into the declared limit.  Raises NonConvergentTail when
     the tail windows do not settle, and ToleranceNotMet when the panel
-    budget is exhausted or the pointwise data or the error estimate is not
+    budget is exhausted, as soon as panels too narrow to halve hold more
+    than tol, or when the pointwise data or the error estimate is not
     finite.  A half-line beyond the core window is built on the 2 *
     core_halfwidth next to its finite end; an empty finite support raises
     InvalidSpec, and a tol outside (0, inf) raises ValueError.
@@ -740,6 +787,7 @@ def build_primitive_from_pointwise(
     done = []
     seq = itertools.count()  # ties in error split in order of fitting
     total_err = 0.0
+    frozen = 0.0  # the error of the panels in done, which cannot be halved
 
     def push(pa: float, pb: float) -> float:
         nonlocal total_err
@@ -781,16 +829,15 @@ def build_primitive_from_pointwise(
         # a relative floor: panels near 0 may be as narrow as they need
         if pb - pa <= max(64.0 * _EPS * max(abs(pa), abs(pb)), _TINY):  # cannot be halved
             done.append((pa, pb, c, Iv, e))
+            frozen += e
+            if frozen > tol:
+                raise ToleranceNotMet(
+                    f"unsplittable panels leave error {frozen:.3e} > {tol:.3e}")
             continue
         total_err -= e
         mid = 0.5 * (pa + pb)
         push(pa, mid)
         push(mid, pb)
-    if total_err > tol:
-        frozen = sum(e for *_, e in done)
-        if frozen < total_err - tol:
-            raise ToleranceNotMet(
-                f"unsplittable panels leave error {total_err:.3e} > {tol:.3e}")
 
     panels = done + [(pa, pb, c, Iv, -ne) for ne, _, pa, pb, c, Iv in heap]
     panels.sort(key=lambda p: p[0])

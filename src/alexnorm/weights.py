@@ -410,8 +410,8 @@ def weighted_gap_sweep(f, w: Weight, xs: Sequence[float],
         raise ValueError("xs must be nonempty")
     for x in xs:
         _check_shift(x)
-    if w.constant_value == 1.0 and isinstance(f, Integrand):
-        return gap_sweep(f, xs, tol)
+    if w.constant_value is not None and isinstance(f, Integrand):  # C_x = 0: fw's sweep
+        return gap_sweep(product_integrand(f, w), xs, tol)
 
     build_tol = 1e-10
     G = product_integrand(f, w).primitive
@@ -448,9 +448,6 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tup
     C = _weighted_primitive(corr, dw, f, w, build_tol, 64.0, x)
 
     g = G.pieces(True)
-    if g is None:  # a constant weight times a closed-form f, so C = 0
-        mn, mx = _difference_extrema(G, x)
-        return mx - mn, C
     # D' = g(.-x) - g + c(.-x): D at the merged edges and its real roots
     t = _critical_points([(1.0, x, g), (-1.0, 0.0, g), (1.0, x, C.pieces(True))])
     D = np.r_[G.eval(t - x) - G.eval(t) + C.eval(t - x), 0.0, C.limit_pos]

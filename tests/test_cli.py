@@ -554,10 +554,12 @@ poisson_halfplane(indicator(-1.0, 1.0), get_weight("reciprocal_quadratic"),
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 norm = alexnorm.alexiewicz_norm(get_function("gaussian"))
 gap = alexnorm.translation_gap(get_function("sinc_primitive"), 0.25)
-print(math.isfinite(norm) and math.isfinite(gap))
-# bench/tracer.py wraps realfn's own minimize_scalar binding, which
-# grid_extrema calls through the module global
+pgn = alexnorm.primitive_gap_norm(get_function("cosine"), 1.0)
+print(math.isfinite(norm) and math.isfinite(gap) and math.isfinite(pgn))
+# bench/tracer.py wraps realfn's own minimize_scalar binding
 print("minimize_scalar" in vars(alexnorm.realfn))
+# closed forms take their candidates from a Chebyshev proxy, not a search
+print("scipy.optimize" in sys.modules)
 """
 
 
@@ -567,7 +569,7 @@ def test_import_path_loads_no_scipy():
     cp = subprocess.run([sys.executable, "-c", _IMPORT_PATH_CHILD, str(manifest)],
                         capture_output=True, text=True, env=_child_env())
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.split("\n")[:3] == ["[]", "True", "True"]
+    assert cp.stdout.split("\n")[:4] == ["[]", "True", "True", "False"]
 
 
 # -- options -------------------------------------------------------------------

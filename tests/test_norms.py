@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexnorm.cli import serialize_gap_reports
-from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable
-from alexnorm import norms
-from alexnorm.norms import (DecaySpec, SmoothBump, _sinc, _window_values_closed,
+from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable, ToleranceNotMet
+from alexnorm import realfn
+from alexnorm.norms import (DecaySpec, SmoothBump, _sinc,
                             alexiewicz_norm, alexiewicz_norm_halfline, gap_sweep,
                             hk_not_l1_witness, one_norm, osc_lower_bound_check,
                             primitive_gap_l1, primitive_gap_norm, sinc_integrand,
@@ -16,12 +16,13 @@ from alexnorm.norms import (DecaySpec, SmoothBump, _sinc, _window_values_closed,
                             translation_gap, verify_slow_decay)
 from alexnorm.poisson import halfplane_weighted_convergence
 from alexnorm.realfn import (ClosedFormPrimitive, Integrand, PiecewiseChebyshevPrimitive,
-                             PiecewiseLinearPrimitive, build_primitive_from_pointwise,
-                             gauss_nodes)
+                             PiecewiseLinearPrimitive, _window_rule,
+                             build_primitive_from_pointwise)
 from alexnorm.registry import get_function, get_weight, indicator
-from alexnorm.weights import weighted_gap_sweep
+from alexnorm.weights import Weight, product_integrand, weighted_gap_sweep, weighted_norm
 
 INF = float("inf")
+EPS = float(np.finfo(float).eps)
 
 BUILTIN_NAMES = ("indicator_01", "ramp", "sinc_primitive", "gaussian", "bump",
                  "cosine", "step_signal")
@@ -426,7 +427,7 @@ def test_piecewise_polynomial_data_needs_no_grid_search(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid search or adaptive rebuild on piecewise-polynomial data")
 
-    for target in ("alexnorm.realfn.grid_extrema", "alexnorm.norms.grid_extrema",
+    for target in ("alexnorm.realfn.grid_extrema",
                    "alexnorm.norms.build_primitive_from_pointwise"):
         monkeypatch.setattr(target, no_grid)
     # weights binds no grid_extrema of its own; a binding put back there is caught too
@@ -497,62 +498,89 @@ def test_sinc_matches_numpy_sinc_bit_for_bit():
     assert _same_bits(ys, kept)  # the input is not written to
 
 
-def test_closed_form_primitive_gap_norm_is_computed_once_per_shift(monkeypatch):
-    # the witness norm of c06's ladder and of hk_not_l1_witness share one grid
-    # search; a shifted copy shares the cache but not the entry, since its grid
-    # moves with the shift and rounds differently
+def test_closed_form_proxy_is_built_once_and_shared_by_shifts(monkeypatch):
+    # norm, gaps and primitive gaps of a closed form and of its shifted copies
+    # read one Chebyshev proxy of F, built on first use on the unshifted window
     calls = []
-    inner = norms.grid_extrema
+    inner = realfn.build_primitive_from_pointwise
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(norms, "grid_extrema", counted)
+    monkeypatch.setattr(realfn, "build_primitive_from_pointwise", counted)
     F = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0))
     f = Integrand(F, None)
     first = primitive_gap_norm(f, math.pi)
-    assert len(calls) == 1
-    assert primitive_gap_norm(f, math.pi) == first
+    assert calls == [(-400.0, 400.0)]
+    moved = F.shifted(2.0)
+    g = Integrand(moved, None)
+    assert alexiewicz_norm(g) == alexiewicz_norm(f)
+    assert translation_gap(g, 0.5) > 0.0 and translation_gap(f, 0.5) > 0.0
+    assert primitive_gap_norm(g, math.pi) == pytest.approx(first, abs=1e-15)
     assert primitive_gap_norm(f, -math.pi) == first
     assert len(calls) == 1
-    moved = primitive_gap_norm(Integrand(F.shifted(2.0), None), math.pi)
-    assert len(calls) == 2
-    fresh = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0)).shifted(2.0)
-    assert primitive_gap_norm(Integrand(fresh, None), math.pi) == moved
-    assert len(calls) == 3
-    primitive_gap_norm(f, 1.0)
-    assert len(calls) == 4
+    edges, rows, below, above = F.search_pieces(False)
+    m_edges, m_rows, m_below, m_above = moved.search_pieces(False)
+    assert m_rows is rows and np.array_equal(m_edges, edges + 2.0)
+    assert (below, above) == (m_below, m_above) == (0.0, 0.0)
+    assert moved.search_pieces(True)[1] is F.search_pieces(True)[1]
     F._extrema_cache.clear()
     assert primitive_gap_norm(f, math.pi) == first
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
-def _window_values_per_row(F, a_pts, x):
-    # reference: one np.dot per grid point over its 48 Gauss-Legendre nodes
-    nodes, wts = gauss_nodes(48)
-    hw = 0.5 * x
-    return np.array([np.dot(hw * F.eval((a - hw) + hw * nodes), wts) for a in a_pts])
+def test_closed_form_proxy_rows_are_F_and_f():
+    # the proxy's F rows follow F to about its build tolerance, and their
+    # derivative rows follow f
+    F = get_function("sinc_primitive").primitive
+    edges, Fc, _, _ = F.search_pieces(False)
+    edges_f, fc, below, above = F.search_pieces(True)
+    assert np.array_equal(edges, edges_f) and (below, above) == (0.0, 0.0)
+    ys = np.linspace(-399.0, 399.0, 4001)
+    F_rows = PiecewiseChebyshevPrimitive(edges, Fc).pointwise_derived()
+    f_rows = PiecewiseChebyshevPrimitive(edges, fc).pointwise_derived()
+    assert np.abs(F_rows(ys) - F.eval(ys)).max() < 1e-6
+    assert np.abs(f_rows(ys) - sinc_integrand().pointwise(ys)).max() < 1e-4
+
+
+def _window_integral_per_row(F, u, v):
+    # reference: one np.dot per window over the rule's 48 nodes
+    nodes, wts = _window_rule()
+    hws = 0.5 * (v - u)
+    return np.array([np.dot(hw * F.eval(c + hw * nodes), wts)
+                     for c, hw in zip(0.5 * (u + v), hws)])
 
 
 @pytest.mark.parametrize("name", ["sinc_primitive", "gaussian", "cosine"])
 def test_closed_form_window_values_match_per_row_dot(name):
-    # blocked rows keep np.dot's bits: in any block, alone or in a batch
+    # each window integral keeps np.dot's bits, alone or in a batch of any size
     F = get_function(name).primitive
     x = math.pi
     for n in (1, 2, 1023, 1024, 1025, 3 * 1024 + 1):
-        a = np.linspace(-12.0, 15.0, n)
-        got = _window_values_closed(F, a, x)
+        v = np.linspace(-12.0, 15.0, n)
+        got = F.window_integral(v - x, v)
         assert got.shape == (n,)
-        assert np.array_equal(got, _window_values_per_row(F, a, x))
+        assert np.array_equal(got, _window_integral_per_row(F, v - x, v))
         for k in {0, n // 2, n - 1}:
-            assert np.array_equal(_window_values_closed(F, a[k:k + 1], x), got[k:k + 1])
+            assert np.array_equal(F.window_integral(v[k:k + 1] - x, v[k:k + 1]), got[k:k + 1])
+            one = F.window_integral(v[k] - x, v[k])
+            assert type(one) is float and one == got[k]
+
+
+def test_window_rule_is_gauss_legendre():
+    # numpy's 48 nodes, with weights that integrate x^k exactly for k <= 95
+    # to rounding; numpy's own weights are off by up to 4e-15
+    nodes, wts = _window_rule()
+    assert np.array_equal(nodes, np.polynomial.legendre.leggauss(48)[0])
+    assert np.abs(wts - np.polynomial.legendre.leggauss(48)[1]).max() < 1e-14
+    assert np.array_equal(wts, wts[::-1])
+    for k in (0, 2, 10, 40, 94):
+        assert abs(np.dot(wts, nodes ** k) - 2.0 / (k + 1)) < 4e-16
 
 
 def test_closed_form_primitive_gap_norm_peak_memory():
-    # the 2^14 + 1 point grid of window values runs in blocks, so no temporary
-    # holds the whole grid times 48 nodes (about 6 MiB each)
-    import scipy.optimize  # noqa: F401  (loaded on first refinement; not traced)
+    # the proxy's windows, 48 nodes each, need no temporary of several MiB
     F = ClosedFormPrimitive(_sinc, 0.0, 0.0, scan=(-400.0, 400.0))
     tracemalloc.start()
     try:
@@ -561,3 +589,145 @@ def test_closed_form_primitive_gap_norm_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+
+
+# -- closed forms against 40-digit mpmath ---------------------------------------------
+
+C02_LADDER = [0.5 / 2 ** k for k in range(10)]
+
+
+def _closed_form_oracle(name):
+    """F, its antiderivative S and the jumps of f, in mpmath and in numpy (the
+    numpy ones only place and rank the candidates), F's limits and a window
+    holding the extrema."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import sici
+    pi = math.pi
+    if name == "sinc_primitive":
+        def d_np(y):
+            t = np.where(y == 0.0, 1.0, y)
+            return np.where(y == 0.0, 0.0, np.cos(t) / t - np.sin(t) / t ** 2)
+        return (lambda y: mpmath.sin(y) / y if y else mpmath.mpf(1), mpmath.si,
+                lambda y: np.sinc(y / pi), d_np, lambda y: sici(y)[0], (0, 0), (), 60.0)
+    if name == "gaussian":
+        erf = np.vectorize(math.erf, otypes=[float])
+        return (lambda y: mpmath.sqrt(mpmath.pi) / 2 * (1 + mpmath.erf(y)),
+                lambda y: (mpmath.sqrt(mpmath.pi) / 2 * (y + y * mpmath.erf(y))
+                           + mpmath.exp(-y * y) / 2),
+                lambda y: 0.5 * math.sqrt(pi) * (1.0 + erf(y)), lambda y: np.exp(-y * y),
+                lambda y: 0.5 * math.sqrt(pi) * (y + y * erf(y)) + 0.5 * np.exp(-y * y),
+                (0, mpmath.sqrt(mpmath.pi)), (), 12.0)
+    inside = lambda y: np.abs(y) <= pi
+    return (lambda y: mpmath.sin(y) if abs(y) <= mpmath.pi else mpmath.mpf(0),
+            lambda y: -mpmath.cos(min(max(y, -mpmath.pi), mpmath.pi)),
+            lambda y: np.where(inside(y), np.sin(y), 0.0),
+            lambda y: np.where(inside(y), np.cos(y), 0.0),
+            lambda y: -np.cos(np.clip(y, -pi, pi)), (0, 0), (-pi, pi), 8.0)
+
+
+def _oracle_osc(h_np, dh_np, h_mp, lo, hi, extra, limits):
+    """sup - inf of h over the line at 40 digits: h at the double-precision
+    roots of dh (bisected from the sign changes on a grid) and at extra, the
+    three largest and three smallest by double value, with the limits."""
+    import mpmath
+    ys = np.linspace(lo, hi, 20001)
+    d = dh_np(ys)
+    i = np.flatnonzero(np.sign(d[1:]) * np.sign(d[:-1]) < 0)
+    a, b, sa = ys[i], ys[i + 1], np.sign(d[i])
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        left = np.sign(dh_np(m)) == sa
+        a, b = np.where(left, m, a), np.where(left, b, m)
+    cand = np.r_[a, ys[1:-1][(d[1:-1] == 0.0) & (d[:-2] != 0.0) & (d[2:] != 0.0)], extra]
+    order = np.argsort(h_np(cand))
+    with mpmath.workdps(40):
+        vals = [h_mp(mpmath.mpf(float(t))) for t in cand[np.r_[order[:3], order[-3:]]]]
+        vals += [mpmath.mpf(v) for v in limits]
+        return float(max(vals) - min(vals)), float(2 * max(abs(v) for v in vals))
+
+
+@pytest.mark.parametrize("name", ["sinc_primitive", "gaussian", "cosine"])
+def test_closed_form_values_match_the_mpmath_oracle(name):
+    # candidates placed by the proxy, values from the closed form: the norm,
+    # c02's gap ladder with its triangle bound, and the primitive gaps each
+    # lie within 4 eps max(1, |oracle|) of 40-digit mpmath
+    import mpmath
+    F_mp, S_mp, F_np, f_np, S_np, limits, jumps, L = _closed_form_oracle(name)
+    f = get_function(name)
+    F = f.primitive
+    F._extrema_cache.clear()
+    jumps = np.asarray(jumps, dtype=float)
+    close = lambda got, want: abs(got - want) <= 4 * EPS * max(1.0, abs(want))
+
+    want, _ = _oracle_osc(F_np, f_np, F_mp, -L, L, jumps, limits)
+    assert close(alexiewicz_norm(f), want)
+    for r in gap_sweep(f, C02_LADDER):
+        x = r.x
+        gap, bound = _oracle_osc(lambda y: F_np(y - x) - F_np(y),
+                                 lambda y: f_np(y - x) - f_np(y),
+                                 lambda y: F_mp(y - x) - F_mp(y),
+                                 -L, L + x, np.r_[jumps, jumps + x], (0, 0))
+        assert close(r.gap, gap) and close(r.bound_upper, bound), x
+    for x in (math.pi, 1.0, 0.5):
+        xm = mpmath.mpf(x)
+        want, _ = _oracle_osc(lambda a: S_np(a) - S_np(a - x),
+                              lambda a: F_np(a) - F_np(a - x),
+                              lambda a: S_mp(a) - S_mp(a - xm),
+                              -L, L + x, np.r_[jumps, jumps + x],
+                              (0, x * float(limits[0]), x * float(limits[1])))
+        assert close(primitive_gap_norm(f, x), want), x
+
+
+@pytest.mark.parametrize("c", [1e-8, 3.0, 1e8])
+@pytest.mark.parametrize("name", ["sinc_primitive", "Si"])
+def test_closed_form_values_scale_with_a_constant_weight(name, c):
+    # the proxy's build tolerance follows the spread of F, so under
+    # Weight.constant(c) the norm, c02's gap ladder and the primitive gaps
+    # are c times those under weight 1, within 4 eps c max(1, |value|): the
+    # c * F(y - x) - c * F(y) of a small shift cancels to that floor.  A
+    # fixed tolerance took one coarse panel for 1e-8 Si, whose derivative
+    # roots miss the peak at pi, and could not be met for 1e8 Si.
+    if name == "Si":
+        sici = pytest.importorskip("scipy.special").sici
+        F = ClosedFormPrimitive(lambda y: sici(y)[0], -math.pi / 2, math.pi / 2,
+                                scan=(-400.0, 400.0))
+        f = Integrand(F, None)
+    else:
+        f = get_function(name)
+    w = Weight.constant(c)
+    fw = product_integrand(f, w)
+    close = lambda got, want: abs(got - c * want) <= 4 * EPS * c * max(1.0, abs(want))
+    assert close(weighted_norm(f, w), alexiewicz_norm(f))
+    for r, r1 in zip(weighted_gap_sweep(f, w, C02_LADDER), gap_sweep(f, C02_LADDER)):
+        assert r.x == r1.x
+        assert close(r.gap, r1.gap) and close(r.bound_upper, r1.bound_upper), r.x
+    for x in (math.pi, 1.0, 0.5):
+        assert close(primitive_gap_norm(fw, x), primitive_gap_norm(f, x)), x
+
+
+def test_closed_forms_need_no_grid_search(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid search or bounded minimization on a closed form")
+
+    monkeypatch.setattr(realfn, "grid_extrema", no_grid)
+    monkeypatch.setattr(realfn, "minimize_scalar", no_grid)
+    for name in ("sinc_primitive", "gaussian", "cosine"):
+        f = get_function(name)
+        f.primitive._extrema_cache.clear()
+        assert alexiewicz_norm(f) > 0.0
+        assert len(gap_sweep(f, [0.5, -0.25, 2.0 ** -10])) == 3
+        assert primitive_gap_norm(f, math.pi) > 0.0
+
+
+def test_closed_form_with_nan_values_raises():
+    # NaN on part of the window is refused by the proxy's build, not turned
+    # into a NaN norm, gap or primitive gap
+    def F_eval(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y > 1.0, np.nan, np.sin(y))
+
+    for call in (alexiewicz_norm, lambda f: translation_gap(f, 0.5),
+                 lambda f: primitive_gap_norm(f, 0.5)):
+        f = Integrand(ClosedFormPrimitive(F_eval, 0.0, 0.0, scan=(-4.0, 4.0)), None)
+        with pytest.raises(ToleranceNotMet, match="not finite"):
+            call(f)

@@ -381,6 +381,37 @@ def test_halfplane_majorant_matches_the_mpmath_oracle(c10_ladder):
         assert r.gap <= r.bound_upper
 
 
+def _constant_weight_majorant_oracle(y: float) -> float:
+    # gamma(s) = ||(tau_s f - f) 2|| = 2 min(s, 1) for f = chi_[0, 1], so the
+    # majorant is 2 * integral_0^S Phi_y(s) 2 min(s, 1) ds plus the tail term
+    # 2 * (1 - mass(-S, S)) * 2, S = max(200 y, 2)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        S = max(200 * y, 2)
+        phi = lambda s: y / (mpmath.pi * (s * s + y * y))
+        body = (mpmath.quad(lambda s: phi(s) * 2 * s, [0, y / 4, y, 4 * y, 1])
+                + mpmath.quad(lambda s: phi(s) * 2, [1, S]))
+        tail = 1 - (mpmath.atan2(S, y) - mpmath.atan2(-S, y)) / mpmath.pi
+        return float(2 * body + 2 * tail * 2)
+
+
+def test_halfplane_majorant_under_a_constant_weight(monkeypatch):
+    # a constant weight takes gamma(s) as the translation gap of fw itself,
+    # with no ratio-correction primitive built at any node
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a constant weight needs no ratio correction")
+
+    monkeypatch.setattr(poisson, "_shift_gap", no_decomposition)
+    monkeypatch.setattr("alexnorm.weights._weighted_gap_single", no_decomposition)
+    reports = halfplane_weighted_convergence(get_function("indicator_01"), Weight.constant(2.0),
+                                             [1.0, 0.1], (-4.0, 4.0))
+    assert [r.x for r in reports] == [1.0, 0.1]
+    for r in reports:
+        assert abs(r.bound_upper - _constant_weight_majorant_oracle(r.x)) <= 1e-10, r.x
+        assert r.gap <= r.bound_upper
+
+
 def test_halfplane_majorant_shares_gamma_across_the_ladder(c10_ladder):
     # 18 panels of 8 nodes (edges 0, 2^-8 ... 2^7, 20 and 200), gamma once per node
     _, seen = c10_ladder

@@ -609,6 +609,19 @@ def test_build_resolves_an_integrable_endpoint_singularity():
         assert np.abs(F.eval(ts) - 2.0 * np.sqrt(ts)).max() <= tol
 
 
+def test_build_refuses_as_soon_as_unsplittable_panels_exceed_tol():
+    # y^(-0.99) on (0, 1): the panel at 0 halves down to the smallest normal
+    # width and still holds more than tol, so no budget of splits elsewhere
+    # can help; the build says so at once instead of using up its panels
+    f = lambda y: np.asarray(y, dtype=float) ** -0.99
+    with pytest.raises(ToleranceNotMet, match="unsplittable"):
+        build_primitive_from_pointwise(f, (0.0, 1.0), 1e-6)
+    # a singularity the panels can resolve still builds: y^(-0.9) to 1e-8
+    F = build_primitive_from_pointwise(lambda y: np.asarray(y, dtype=float) ** -0.9,
+                                       (0.0, 1.0), 1e-8)
+    assert abs(F.eval(1.0) - 10.0) < 1e-7
+
+
 def test_build_nan_data_raises():
     # a NaN error estimate must not pass for a met tolerance
     with pytest.raises(ToleranceNotMet):
