@@ -20,9 +20,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import (InvalidSpec, NonConvergentTail, NotAbsolutelyIntegrable)
-from .realfn import (ClosedFormPrimitive, Integrand, Interval,
+from .realfn import (ROUNDING, ClosedFormPrimitive, Integrand, Interval,
                      PiecewiseLinearPrimitive, Primitive, _EPS, _call_vec,
-                     _critical_points, build_primitive_from_pointwise,
+                     _critical_points, _extreme_values, build_primitive_from_pointwise,
                      gauss_nodes)
 
 @dataclass(frozen=True)
@@ -87,14 +87,17 @@ def _difference_extrema(F: Primitive, x: float):
 
     Both limits of H vanish, so 0 always joins the candidate set.  H is
     taken at the merged edges and the real roots of H' = f(.-x) - f on F's
-    search pieces (machine-exact for tables and Chebyshev panels).
+    search pieces (machine-exact for tables and Chebyshev panels), on the
+    panels whose bound can reach H's edge extrema; the pad covers each F
+    value's gap to the search rows (twice, at both edges) and their rounding.
     """
     _check_shift(x)
     if x == 0.0:
         return 0.0, 0.0
     f = F.search_pieces(True)
-    nodes = _critical_points([(1.0, x, f), (-1.0, 0.0, f)])
-    H = F.eval(nodes - x) - F.eval(nodes)
+    err, size = F.search_slack()
+    H = _extreme_values([(1.0, x, f), (-1.0, 0.0, f)], lambda t: F.eval(t - x) - F.eval(t),
+                        4.0 * err + ROUNDING * size)
     return min(float(H.min()), 0.0), max(float(H.max()), 0.0)
 
 
@@ -306,13 +309,12 @@ def osc_lower_bound_check(f: SmoothBump, xs: Sequence[float],
 # Shifted-primitive estimates
 # ---------------------------------------------------------------------------
 
-def _window_critical(F: Primitive, x: float) -> np.ndarray:
-    """W(a) = integral of F over [a-x, a] at the merged edges and the real
-    roots of W' = F - F(.-x) on F's search pieces, in increasing a: W is
-    monotone in between (for a closed form, to the proxy's accuracy)."""
+def _window(F: Primitive, x: float) -> tuple:
+    """The terms of W' = F - F(.-x) on F's search pieces, and W(a), the
+    integral of F over [a-x, a]: W is monotone between the merged edges and
+    the real roots of W' (for a closed form, to the proxy's accuracy)."""
     Fp = F.search_pieces(False)
-    a = _critical_points([(1.0, 0.0, Fp), (-1.0, x, Fp)])
-    return F.window_integral(a - x, a)
+    return [(1.0, 0.0, Fp), (-1.0, x, Fp)], lambda a: F.window_integral(a - x, a)
 
 
 def primitive_gap_norm(f: Integrand, x: float) -> float:
@@ -322,7 +324,10 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     [a-x, a], whose limits are x * F(-inf) and x * F(+inf); the norm is the
     oscillation of W over the extended line.  Machine-exact for tables and
     Chebyshev panels; for closed forms the proxy places the windows and
-    Gauss-Legendre on the closed form values them.
+    Gauss-Legendre on the closed form values them.  Only panels whose bound
+    can reach W's edge extrema solve for roots; the pad covers x times each
+    F value's gap to the search rows, at both edges, and the rounding of
+    integrals of F over up to the support's length plus x.
     """
     _check_shift(x)
     F = f.primitive
@@ -333,7 +338,10 @@ def primitive_gap_norm(f: Integrand, x: float) -> float:
     if x < 0:
         # W for a negative window orientation differs by sign only
         return primitive_gap_norm(f, -x)
-    W = np.r_[_window_critical(F, x), x * F.limit_neg, x * F.limit_pos]
+    err, size = F.search_slack()
+    lo, hi = F.support_window()
+    W = np.r_[_extreme_values(*_window(F, x), 2.0 * x * err + ROUNDING * (hi - lo + x) * size),
+              x * F.limit_neg, x * F.limit_pos]
     return float(W.max() - W.min())
 
 
@@ -363,8 +371,9 @@ def primitive_gap_l1(f: Integrand, x: float) -> float:
     F = f.primitive
     if x == 0.0:
         return 0.0
-    if F.pieces(True) is not None:
-        return float(np.abs(np.diff(_window_critical(F, x))).sum())
+    if F.pieces(True) is not None:  # a variation: every root, no pruning
+        terms, W = _window(F, x)
+        return float(np.abs(np.diff(W(_critical_points(terms)))).sum())
     ev = lambda y: np.abs(F.eval(np.asarray(y, dtype=float) - x) - F.eval(np.asarray(y, dtype=float)))
     lo, hi = F.support_window()
     core = max(abs(lo), abs(hi), 8.0) + abs(x)

@@ -45,6 +45,7 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # a subnormal width halves to itself
 PROXY_TOL = 1e-6  # per unit spread of F: a closed form's proxy only places candidates
+ROUNDING = 2.0 ** -40  # slack per unit operand size for the rounding in a pruning bound
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,13 @@ class Primitive:
     def search_pieces(self, derivative: bool) -> tuple:
         """The ``pieces`` rows that place critical points (a closed form's proxy)."""
         return self.pieces(derivative)
+
+    def search_slack(self) -> tuple:
+        """(err, size): how far F may stray from the F of its search rows (0
+        where they are its own), and a bound on |F| from those rows' absolute
+        coefficient sums and the limits."""
+        _, rows, below, above = self.search_pieces(False)
+        return 0.0, max(abs(below), abs(above), float(np.abs(rows).sum(axis=1).max()))
 
     def total_variation(self) -> Optional[float]:
         """Exact total variation of F when the representation allows it."""
@@ -454,9 +462,11 @@ class ClosedFormPrimitive(Primitive):
                                    self.label)
 
     def _proxy(self) -> tuple:
-        # (edges, F rows, f rows) of the unshifted proxy, shared by shifted copies
-        # (the builder's fc are F's rows); tol is PROXY_TOL times F's spread on 1025
-        # points and the limits, in powers of two, so c = 2^j scales the proxy by c
+        # (edges, F rows, f rows, err) of the unshifted proxy, shared by shifted
+        # copies (the builder's fc are F's rows); tol is PROXY_TOL times F's spread
+        # on 1025 points and the limits, in powers of two, so c = 2^j scales the
+        # proxy by c; err, the largest per-panel build error over its half-width,
+        # bounds |F - proxy| on the window
         if "proxy" not in self._extrema_cache:
             w = self.support or self.scan
             F = np.r_[self.limit_neg, self.limit_pos, _call_vec(self.func, np.linspace(*w, 1025))]
@@ -464,20 +474,30 @@ class ClosedFormPrimitive(Primitive):
             exp = math.frexp(spread)[1] - 1 if 0.0 < spread < math.inf else 0
             P = build_primitive_from_pointwise(self.func, w, math.ldexp(PROXY_TOL, exp))
             df = _cheb.chebder(P.fc, axis=1) * (2.0 / np.diff(P.edges))[:, None]
-            self._extrema_cache["proxy"] = (P.edges, P.fc, df)
+            j, moments = _cheb_moments(P.fc.shape[1])  # _fit_panel's err over hw
+            up = j >= P.fc.shape[1] // 2
+            err = float((np.abs(P.fc[:, -2:]).sum(axis=1)
+                         + np.abs(P.fc[:, j[up]] @ moments[up])).max())
+            self._extrema_cache["proxy"] = (P.edges, P.fc, df, err)
         return self._extrema_cache["proxy"]
 
     def search_pieces(self, derivative):
-        edges, Fc, fc = self._proxy()
+        edges, Fc, fc, _ = self._proxy()
         if derivative:
             return edges + self.shift, fc, 0.0, 0.0
         return edges + self.shift, Fc, self.limit_neg, self.limit_pos
 
+    def search_slack(self):
+        return self._proxy()[3], super().search_slack()[1]
+
     def extrema(self):
         if "ext" not in self._extrema_cache:
-            edges, _, fc = self._proxy()
-            t = _critical_points([(1.0, 0.0, (edges, fc, 0.0, 0.0))])
-            vals = np.r_[_call_vec(self.func, t), self.limit_neg, self.limit_pos]
+            edges, _, fc, _ = self._proxy()
+            err, size = self.search_slack()
+            vals = np.r_[_extreme_values([(1.0, 0.0, (edges, fc, 0.0, 0.0))],
+                                         lambda t: _call_vec(self.func, t),
+                                         2.0 * err + ROUNDING * size),
+                         self.limit_neg, self.limit_pos]
             self._extrema_cache["ext"] = (float(vals.min()), float(vals.max()))
         return self._extrema_cache["ext"]
 
@@ -653,17 +673,13 @@ def grid_extrema(ev: Evaluator, window, *, levels: int = 17, seeds: Sequence[flo
     return lo, hi
 
 
-def _critical_points(terms) -> np.ndarray:
-    """Sorted merged edges and real roots of a sum of terms (sign, shift,
-    piece): sign times a ``Primitive.pieces`` series moved right by shift.
-    Callers pass the derivative of the function they want the extrema or the
-    variation of, and evaluate that function at these points.
-
-    The sum is resampled at as many Chebyshev nodes as its widest row on each
-    merged panel.  Rows with |c_0| > sum_{k>=1} |c_k| have no root in [-1, 1];
-    the rest, trimmed at rounding level, take the eigenvalues of numpy's
-    colleague matrices, one eigvals call per degree (Boyd, SIAM J. Numer.
-    Anal. 40, 2002; Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004)."""
+def _merged_rows(terms) -> tuple:
+    """(edges, mid, hw, coef, rows, deg) of a sum of terms (sign, shift,
+    piece), sign times a ``Primitive.pieces`` series moved right by shift:
+    the merged edges; per merged panel its midpoint, half-width and the
+    sum's Chebyshev row, resampled at as many Chebyshev nodes as the widest
+    row; and the rows that may vanish in [-1, 1], those without
+    |c_0| > sum_{k>=1} |c_k|, with their degrees trimmed at rounding level."""
     edges = np.unique(np.concatenate([p[0] + s for _, s, p in terms]))
     mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     coef = terms[0][2][1]  # one unshifted term keeps its own rows
@@ -680,11 +696,19 @@ def _critical_points(terms) -> np.ndarray:
             v[inside] = _cheb.chebval(xi, rows[i[inside]].T[:, :, None], tensor=False)
             vals += sign * v
         coef = vals @ M.T
-    keep = np.flatnonzero(np.abs(coef[:, 0]) <= np.abs(coef[:, 1:]).sum(axis=1))
-    c, mid, hw = coef[keep], mid[keep], hw[keep]
+    rows = np.flatnonzero(np.abs(coef[:, 0]) <= np.abs(coef[:, 1:]).sum(axis=1))
+    c = coef[rows]
     big = np.abs(c) > _EPS * np.abs(c).max(axis=1, initial=0.0)[:, None]
-    deg = np.where(big, np.arange(c.shape[1]), 0).max(axis=1, initial=0)
-    found = [edges]
+    return edges, mid, hw, coef, rows, np.where(big, np.arange(c.shape[1]), 0).max(axis=1, initial=0)
+
+
+def _real_roots(coef, mid, hw, rows, deg) -> np.ndarray:
+    """The real roots inside their panels of the given rows, of degrees deg:
+    the eigenvalues of numpy's colleague matrices, one eigvals call per
+    degree (Boyd, SIAM J. Numer. Anal. 40, 2002; Battles and Trefethen, SIAM
+    J. Sci. Comput. 25, 2004)."""
+    c, mid, hw = coef[rows], mid[rows], hw[rows]
+    found = [np.empty(0)]
     for n in np.unique(deg[deg > 0]):
         cn = c[deg == n, :n + 1]
         if n == 1:
@@ -699,7 +723,47 @@ def _critical_points(terms) -> np.ndarray:
         # near-double roots come out as complex pairs: real parts only add samples
         real = (np.abs(r.imag) < 1e-6) & (np.abs(r.real) < 1.0)
         found.append((mid[deg == n, None] + hw[deg == n, None] * r.real)[real])
-    return np.unique(np.concatenate(found))
+    return np.concatenate(found)
+
+
+def _critical_points(terms) -> np.ndarray:
+    """Sorted merged edges and real roots of a sum of terms (as for
+    _merged_rows).  Callers pass the derivative of the function they want the
+    variation of, and evaluate that function at these points (extrema:
+    _extreme_values)."""
+    edges, mid, hw, coef, rows, deg = _merged_rows(terms)
+    return np.unique(np.r_[edges, _real_roots(coef, mid, hw, rows, deg)])
+
+
+def _extreme_values(terms, value, pad) -> np.ndarray:
+    """value at the merged edges and at the real roots of the terms (as for
+    _critical_points) on those panels only that can hold its extrema, so the
+    values' min and max are those at every critical point.
+
+    On a merged panel of half-width hw with edge values v_a, v_b and
+    derivative row c, value stays within (v_a + v_b)/2 -+ hw sum |c_k|
+    (its integral of |value'| is at most 2 hw sum |c_k|).  A row of degree 2
+    or more skips its colleague matrix when that range, widened by pad, lies
+    strictly between the extremes found so far: first those of the edges and
+    of the two rows whose ranges reach farthest.  pad must cover the
+    rounding of the values and any gap between value and the terms'
+    primitive (a closed form against its proxy)."""
+    edges, mid, hw, coef, rows, deg = _merged_rows(terms)
+    if not (deg >= 2).any():  # no colleague matrix to spare: one evaluation
+        return value(np.unique(np.r_[edges, _real_roots(coef, mid, hw, rows, deg)]))
+
+    def at_roots(mask):
+        r = _real_roots(coef, mid, hw, rows[mask], deg[mask])
+        return value(r) if len(r) else r
+
+    v = value(edges)
+    centre = 0.5 * (v[rows] + v[rows + 1])
+    reach = hw[rows] * np.abs(coef[rows]).sum(axis=1) + pad
+    up, down = centre + reach, centre - reach
+    first = deg < 2
+    first[[up.argmax(), down.argmin()]] = True
+    v = np.r_[v, at_roots(first)]
+    return np.r_[v, at_roots(~first & ((up >= v.max()) | (down <= v.min())))]
 
 
 # ---------------------------------------------------------------------------

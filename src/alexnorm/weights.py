@@ -25,9 +25,9 @@ from .errors import (DegenerateWeight, HypothesisViolated, InvalidSpec,
                      NonConvergentTail, NonIntegrableProduct, ToleranceNotMet)
 from .norms import (GapReport, _check_shift, _difference_extrema, alexiewicz_norm,
                     gap_sweep)
-from .realfn import (Integrand, Interval, PiecewiseChebyshevPrimitive, _as_interval,
-                     _call_vec, _critical_points, build_primitive_from_pointwise,
-                     variation)
+from .realfn import (ROUNDING, Integrand, Interval, PiecewiseChebyshevPrimitive,
+                     _as_interval, _call_vec, _extreme_values,
+                     build_primitive_from_pointwise, variation)
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -448,9 +448,14 @@ def _weighted_gap_single(f, fp, w: Weight, G, x: float, build_tol: float) -> tup
     C = _weighted_primitive(corr, dw, f, w, build_tol, 64.0, x)
 
     g = G.pieces(True)
-    # D' = g(.-x) - g + c(.-x): D at the merged edges and its real roots
-    t = _critical_points([(1.0, x, g), (-1.0, 0.0, g), (1.0, x, C.pieces(True))])
-    D = np.r_[G.eval(t - x) - G.eval(t) + C.eval(t - x), 0.0, C.limit_pos]
+    # D' = g(.-x) - g + c(.-x): D at the merged edges and at its real roots on
+    # the panels whose bound can reach D's edge extrema; G and C are panel
+    # primitives, so the pad covers rounding alone
+    size = G.search_slack()[1] + C.search_slack()[1]
+    D = np.r_[_extreme_values([(1.0, x, g), (-1.0, 0.0, g), (1.0, x, C.pieces(True))],
+                              lambda t: G.eval(t - x) - G.eval(t) + C.eval(t - x),
+                              ROUNDING * size),
+              0.0, C.limit_pos]
     return float(D.max() - D.min()), C
 
 

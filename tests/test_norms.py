@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from alexnorm.cli import serialize_gap_reports
 from alexnorm.errors import InvalidSpec, NotAbsolutelyIntegrable, ToleranceNotMet
-from alexnorm import realfn
+from alexnorm import norms, realfn, weights
 from alexnorm.norms import (DecaySpec, SmoothBump, _sinc,
                             alexiewicz_norm, alexiewicz_norm_halfline, gap_sweep,
                             hk_not_l1_witness, one_norm, osc_lower_bound_check,
@@ -731,3 +731,137 @@ def test_closed_form_with_nan_values_raises():
         f = Integrand(ClosedFormPrimitive(F_eval, 0.0, 0.0, scan=(-4.0, 4.0)), None)
         with pytest.raises(ToleranceNotMet, match="not finite"):
             call(f)
+
+
+# -- bound-pruned extrema ----------------------------------------------------------
+#
+# Extrema solve for derivative roots only on the merged panels whose bound can
+# reach the edge extrema; variations still take every root.  The reference is
+# the unpruned routine, value taken at every critical point.
+
+
+def _every_root_extrema(terms, value, *limits):
+    v = np.r_[value(realfn._critical_points(terms)), limits]
+    return float(v.min()), float(v.max())
+
+
+def _random_primitive(kind, rng):
+    if kind == "panels":  # decaying coefficient rows of degree 2 to 16, as fits have
+        edges = np.cumsum(np.r_[rng.uniform(-4.0, 0.0), rng.uniform(0.05, 2.0, rng.integers(1, 12))])
+        n = rng.integers(3, 18)
+        fc = rng.standard_normal((len(edges) - 1, n)) * 0.6 ** np.arange(n)
+        return PiecewiseChebyshevPrimitive(edges, fc, rng.uniform(-1.0, 1.0))
+    if kind == "table":
+        xs = np.sort(rng.uniform(-3.0, 3.0, 48))
+        return PiecewiseLinearPrimitive(xs, np.cumsum(rng.standard_normal(48)) / 8.0)
+    return get_function(kind).primitive.shifted(rng.uniform(-1.0, 1.0))
+
+
+@given(st.sampled_from(["panels", "table", "sinc_primitive", "gaussian", "cosine"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=40),
+       st.floats(min_value=1.0, max_value=2.0, exclude_max=True), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pruned_extrema_equal_every_root_bit_for_bit(kind, seed, k, mantissa, negative):
+    # H = F(.-x) - F, W(a) = the integral of F over [a-x, a], and F itself:
+    # pruning never drops the candidate that holds the min or the max
+    F = _random_primitive(kind, np.random.default_rng(seed))
+    x = math.ldexp(mantissa, -k) * (-1.0 if negative else 1.0)
+    f = F.search_pieces(True)
+    want = _every_root_extrema([(1.0, x, f), (-1.0, 0.0, f)],
+                               lambda t: F.eval(t - x) - F.eval(t), 0.0)
+    assert _same_bits(norms._difference_extrema(F, x), want)
+    Fp, ax = F.search_pieces(False), abs(x)
+    lo, hi = _every_root_extrema([(1.0, 0.0, Fp), (-1.0, ax, Fp)],
+                                 lambda a: F.window_integral(a - ax, a),
+                                 ax * F.limit_neg, ax * F.limit_pos)
+    assert _same_bits(primitive_gap_norm(Integrand(F), x), hi - lo)
+    if isinstance(F, ClosedFormPrimitive):
+        F._extrema_cache.pop("ext", None)
+        edges, _, fc, _ = F._proxy()
+        want = _every_root_extrema([(1.0, 0.0, (edges, fc, 0.0, 0.0))],
+                                   lambda t: realfn._call_vec(F.func, t),
+                                   F.limit_neg, F.limit_pos)
+        assert _same_bits(F.extrema(), want)
+
+
+@given(st.sampled_from(["bump", "gaussian", "indicator_01", "panels"]),
+       st.sampled_from(["reciprocal_quadratic", "exponential"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=40),
+       st.floats(min_value=1.0, max_value=2.0, exclude_max=True))
+@settings(max_examples=12, deadline=None)
+def test_pruned_weighted_gap_equals_every_root_bit_for_bit(name, wname, seed, k, mantissa):
+    # D = G(.-x) - G + C_x(.-x) for the product primitive G and the ratio
+    # correction C_x, against D at every critical point
+    if name == "panels":
+        F = _random_primitive(name, np.random.default_rng(seed))
+        f = Integrand(F, F.pointwise_derived())
+    else:
+        f = get_function(name)
+    w = get_weight(wname)
+    x = math.ldexp(mantissa, -k)
+    G = product_integrand(f, w).primitive
+    gap, C = weights._weighted_gap_single(f, weights._resolve_pointwise(f), w, G, x, 1e-10)
+    g = G.pieces(True)
+    lo, hi = _every_root_extrema([(1.0, x, g), (-1.0, 0.0, g), (1.0, x, C.pieces(True))],
+                                 lambda t: G.eval(t - x) - G.eval(t) + C.eval(t - x),
+                                 0.0, C.limit_pos)
+    assert _same_bits(gap, hi - lo)
+
+
+def _count_colleague_rows(monkeypatch):
+    rows = []
+    eigvals = realfn.np.linalg.eigvals
+
+    def counted(A):
+        rows.append(len(A))
+        return eigvals(A)
+
+    monkeypatch.setattr(realfn.np.linalg, "eigvals", counted)
+    return rows
+
+
+def test_gaps_solve_few_colleague_matrices(monkeypatch):
+    # the canonical sinc ladder and witness gaps: 2558 and 787 rows when
+    # every panel that may hold a root solves its colleague matrix
+    f = sinc_integrand()
+    f.primitive._extrema_cache.clear()
+    f.primitive.search_pieces(True)  # the proxy's build solves no colleague matrix
+    rows = _count_colleague_rows(monkeypatch)
+    gap_sweep(f, [2.0 ** -k for k in range(1, 11)])
+    assert 0 < sum(rows) <= 100
+    rows.clear()
+    for x in (math.pi, 1.0, 0.5):
+        primitive_gap_norm(f, x)
+    assert 0 < sum(rows) <= 100
+
+
+def test_variations_take_every_root(monkeypatch):
+    # L1 gaps and total variations sum |increments| over every critical point:
+    # they never reach the pruning helper, and match brute-force references
+    def no_pruning(*args):
+        raise AssertionError("a variation reached the pruned extremum search")
+
+    monkeypatch.setattr(realfn, "_extreme_values", no_pruning)
+    monkeypatch.setattr(norms, "_extreme_values", no_pruning)
+    rng = np.random.default_rng(30)
+    xs = np.sort(rng.uniform(-3.0, 3.0, 48))
+    ys = np.cumsum(rng.standard_normal(48)) / 8.0
+    table = Integrand(PiecewiseLinearPrimitive(xs, ys))
+    for x in (0.37, 1.5, -2.0 ** -20):
+        # H = F(.-x) - F is linear between merged nodes: integrate |H| exactly
+        t = np.union1d(xs, xs + x)
+        h = np.interp(t - x, xs, ys) - np.interp(t, xs, ys)
+        h0, h1, dt = h[:-1], h[1:], np.diff(t)
+        same = h0 * h1 >= 0.0
+        den = np.where(same, 1.0, np.abs(h0) + np.abs(h1))
+        want = np.where(same, 0.5 * (np.abs(h0) + np.abs(h1)), 0.5 * (h0 * h0 + h1 * h1) / den)
+        assert primitive_gap_l1(table, x) == pytest.approx(float(want @ dt), rel=1e-12, abs=1e-15)
+    edges = np.cumsum(np.r_[-2.0, rng.uniform(0.2, 1.5, 9)])
+    fc = rng.standard_normal((9, 12)) * 0.7 ** np.arange(12)
+    P = PiecewiseChebyshevPrimitive(edges, fc)
+    want = 0.0  # |F| increments between numpy's chebroots of each panel's f
+    for a, b, row in zip(edges[:-1], edges[1:], fc):
+        r = np.polynomial.chebyshev.chebroots(row)
+        r = np.sort(r.real[(np.abs(r.imag) < 1e-12) & (np.abs(r.real) < 1.0)])
+        want += np.abs(np.diff(P.eval(0.5 * (a + b) + 0.5 * (b - a) * np.r_[-1.0, r, 1.0]))).sum()
+    assert P.total_variation() == pytest.approx(want, rel=1e-12, abs=0.0)
