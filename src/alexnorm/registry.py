@@ -20,6 +20,7 @@ from .realfn import (ClosedFormPrimitive, Integrand,
 from .weights import Weight
 
 SQRT_PI = math.sqrt(math.pi)
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf; object output
 
 _FUNCTIONS: Dict[str, Integrand] = {}
 _WEIGHTS: Dict[str, Weight] = {}
@@ -61,8 +62,8 @@ def _build_ramp() -> Integrand:
 
 def _build_gaussian() -> Integrand:
     def F_eval(y):
-        from scipy.special import erf
-        return 0.5 * SQRT_PI * (1.0 + erf(np.asarray(y, dtype=float)))
+        # a 0-d input gives a bare float, which np.asarray turns back into an array
+        return 0.5 * SQRT_PI * (1.0 + np.asarray(_erf(y), dtype=float))
 
     def f(y):
         y = np.asarray(y, dtype=float)

@@ -16,8 +16,8 @@ from alexnorm.norms import (DecaySpec, SmoothBump, _sinc,
                             translation_gap, verify_slow_decay)
 from alexnorm.poisson import halfplane_weighted_convergence
 from alexnorm.realfn import (ClosedFormPrimitive, Integrand, PiecewiseChebyshevPrimitive,
-                             PiecewiseLinearPrimitive, _window_rule,
-                             build_primitive_from_pointwise)
+                             PiecewiseLinearPrimitive, build_primitive_from_pointwise,
+                             gauss_nodes)
 from alexnorm.registry import get_function, get_weight, indicator
 from alexnorm.weights import Weight, product_integrand, weighted_gap_sweep, weighted_norm
 
@@ -545,11 +545,20 @@ def test_closed_form_proxy_rows_are_F_and_f():
 
 
 def _window_integral_per_row(F, u, v):
-    # reference: one np.dot per window over the rule's 48 nodes
-    nodes, wts = _window_rule()
-    hws = 0.5 * (v - u)
-    return np.array([np.dot(hw * F.eval(c + hw * nodes), wts)
-                     for c, hw in zip(0.5 * (u + v), hws)])
+    # reference: one np.dot per window over gauss_nodes(48), on the window's
+    # part inside F's declared support, plus limit x length for the parts outside
+    nodes, wts = gauss_nodes(48)
+    lo, hi = F.support if F.support is not None else (-INF, INF)
+    out = []
+    for s, t in zip(u, v):
+        a, b = min(max(s, lo), hi), min(max(t, lo), hi)
+        hw = 0.5 * (b - a)
+        val = np.dot(hw * F.eval(0.5 * (a + b) + hw * nodes), wts)
+        if F.support is not None:
+            val = (val + (F.limit_neg if s < lo else F.limit_pos) * (a - s)
+                   + (F.limit_neg if t < lo else F.limit_pos) * (t - b))
+        out.append(val)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("name", ["sinc_primitive", "gaussian", "cosine"])
@@ -568,15 +577,45 @@ def test_closed_form_window_values_match_per_row_dot(name):
             assert type(one) is float and one == got[k]
 
 
-def test_window_rule_is_gauss_legendre():
-    # numpy's 48 nodes, with weights that integrate x^k exactly for k <= 95
-    # to rounding; numpy's own weights are off by up to 4e-15
-    nodes, wts = _window_rule()
-    assert np.array_equal(nodes, np.polynomial.legendre.leggauss(48)[0])
-    assert np.abs(wts - np.polynomial.legendre.leggauss(48)[1]).max() < 1e-14
-    assert np.array_equal(wts, wts[::-1])
+def test_gauss_nodes_are_gauss_legendre():
+    # numpy's nodes, with weights within 3e-16 of 40-digit mpmath (numpy's
+    # own weights are off by up to 3.9e-15 at 48 nodes); the 48-node rule
+    # integrates x^k exactly for k <= 95 to rounding
+    import mpmath
+    for n in (8, 16, 48):
+        nodes, wts = gauss_nodes(n)
+        assert np.array_equal(nodes, np.polynomial.legendre.leggauss(n)[0])
+        assert np.array_equal(wts, wts[::-1])
+        with mpmath.workdps(40):
+            exact = [2 / ((1 - mpmath.mpf(x) ** 2) * mpmath.diff(lambda t: mpmath.legendre(n, t),
+                                                                  mpmath.mpf(x)) ** 2)
+                     for x in nodes]
+        assert max(abs(float(e - w)) for e, w in zip(exact, wts)) <= 3e-16
     for k in (0, 2, 10, 40, 94):
         assert abs(np.dot(wts, nodes ** k) - 2.0 / (k + 1)) < 4e-16
+
+
+def test_closed_form_window_clipped_at_declared_support():
+    # F is sin on [-pi, pi] and 0 outside, so W = F(.-x) - F has the closed-form
+    # spread 4 sin(min(x, pi)/2); windows that straddle +-pi must not put the
+    # 48-node rule across F's kink there
+    f = get_function("cosine")
+    for x in np.linspace(0.05, 10.0, 200):
+        exact = 4.0 * math.sin(min(x, math.pi) / 2.0)
+        assert abs(primitive_gap_norm(f, x) - exact) <= 8 * EPS, x
+
+
+def test_gaussian_primitive_takes_scalars_and_arrays():
+    # math.erf, applied elementwise: a scalar gives a float, an array its values
+    F = get_function("gaussian").primitive
+    one = F.func(0.5)
+    assert isinstance(one, float)
+    assert one == 0.5 * math.sqrt(math.pi) * (1.0 + math.erf(0.5))
+    ys = np.linspace(-6.0, 6.0, 101)
+    got = F.func(ys)
+    assert got.shape == ys.shape and got.dtype == float
+    assert np.array_equal(got, [F.func(y) for y in ys])
+    assert np.array_equal(got, [0.5 * math.sqrt(math.pi) * (1.0 + math.erf(y)) for y in ys])
 
 
 def test_closed_form_primitive_gap_norm_peak_memory():
